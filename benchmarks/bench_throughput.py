@@ -42,11 +42,16 @@ row-copy backend, asserting token-identity, a strictly lower peak K/V
 footprint for paged (shared preamble pages are aliased, not duplicated),
 and that paged prefix-cache hits copy zero K/V tokens while row hits
 materialise every reused position (the zero-copy guarantee from
-``docs/kv-memory.md``).  Peak bytes, COW events and the shared-block ratio
-land in ``throughput_paged_kv.json``.
+``docs/kv-memory.md``).  It also gates paged tokens/sec at >= 0.95x row
+(median over alternating run pairs) and copy-on-write events at <= one per
+request.  Peak bytes, COW events, the shared-block ratio and the paged/row
+speed ratio land in ``throughput_paged_kv.json``.
 """
 
 from __future__ import annotations
+
+import gc
+import statistics
 
 import pytest
 
@@ -145,6 +150,8 @@ def test_serving_throughput(benchmark, trained_pipeline, rtllm_subset, vgen_subs
 #: Shared-prefix workload shape: N requests over K distinct task preambles —
 #: the rtllm/vgen serving pattern (many problems behind one instruction block).
 SHARED_PREFIX_REQUESTS = 8 if SMOKE else 16
+#: Alternating row/paged run pairs behind the paged/row speed gate.
+PAGED_KV_REPEATS = 11
 SHARED_PREFIX_PREAMBLES = [
     "// Task: implement the following Verilog module exactly as specified.\n"
     "// Use synthesizable constructs only and name ports as given.\n",
@@ -252,7 +259,9 @@ def test_paged_kv_shared_prefix_memory(benchmark, trained_pipeline, rtllm_subset
     the shared preamble exists once in memory regardless of how many requests
     reuse it — the row backend materialises a private copy per request.  The
     assertions pin the tentpole guarantees: identical tokens, strictly lower
-    peak K/V bytes, and zero copied prefix tokens in paged mode.
+    peak K/V bytes, zero copied prefix tokens in paged mode, at most one
+    copy-on-write per request, and paged decode speed within 5% of row
+    (median paged/row tokens/s over alternating run pairs).
     """
     prompts = _shared_prefix_workload(
         trained_pipeline, rtllm_subset, vgen_subset, SHARED_PREFIX_REQUESTS
@@ -271,16 +280,28 @@ def test_paged_kv_shared_prefix_memory(benchmark, trained_pipeline, rtllm_subset
             kv_memory=kv_memory,
         )
 
-    row_report, row_results = measure_serving_throughput(
-        engine_for_mode("row"), prompts, config, label="ours+row-kv"
+    def serve_alternating():
+        # Row and paged runs alternate, and so does which of them goes first
+        # in a pair, so slow phases of a shared machine hit both modes alike;
+        # the gate reads the median per-pair ratio.
+        runs = {"row": [], "paged": []}
+        for pair in range(PAGED_KV_REPEATS):
+            for mode in ("row", "paged") if pair % 2 == 0 else ("paged", "row"):
+                gc.collect()  # no collector pause from the previous run's garbage
+                runs[mode].append(
+                    measure_serving_throughput(
+                        engine_for_mode(mode), prompts, config, label=f"ours+{mode}-kv"
+                    )
+                )
+        return runs
+
+    runs = benchmark.pedantic(serve_alternating, rounds=1, iterations=1)
+    row_report, row_results = runs["row"][-1]
+    paged_report, paged_results = runs["paged"][-1]
+    speed_ratio = statistics.median(
+        paged.tokens_per_second / row.tokens_per_second
+        for (row, _), (paged, _) in zip(runs["row"], runs["paged"])
     )
-
-    def serve_paged():
-        return measure_serving_throughput(
-            engine_for_mode("paged"), prompts, config, label="ours+paged-kv"
-        )
-
-    paged_report, paged_results = benchmark.pedantic(serve_paged, rounds=1, iterations=1)
 
     reduction = 1.0 - paged_report.kv_peak_bytes / max(row_report.kv_peak_bytes, 1)
     print(
@@ -300,6 +321,7 @@ def test_paged_kv_shared_prefix_memory(benchmark, trained_pipeline, rtllm_subset
             f"{report.prefix_hit_rate:>9.2f} {report.requests_per_second:>8.1f}"
         )
     print(f"peak KV reduction: {reduction:.1%}")
+    print(f"paged/row tokens/s (median of {PAGED_KV_REPEATS} alternating pairs): {speed_ratio:.3f}")
 
     emit_bench_json(
         "throughput_paged_kv",
@@ -310,6 +332,7 @@ def test_paged_kv_shared_prefix_memory(benchmark, trained_pipeline, rtllm_subset
             "row": row_report.to_dict(),
             "paged": paged_report.to_dict(),
             "peak_kv_reduction": reduction,
+            "paged_row_tokens_per_second_ratio": speed_ratio,
         },
     )
 
@@ -325,6 +348,11 @@ def test_paged_kv_shared_prefix_memory(benchmark, trained_pipeline, rtllm_subset
     # Zero-copy hits: paged splices pages, row gathers K/V into fresh buffers.
     assert paged_report.kv_prefix_copy_tokens == 0
     assert row_report.kv_prefix_copy_tokens > 0
+    # Verification runs in a scratch tail: the only copy-on-write left is a
+    # spliced request's shared tail block, at most one per request.
+    assert paged_report.kv_cow_events <= SHARED_PREFIX_REQUESTS
+    # Paged memory must not cost decode speed.
+    assert speed_ratio >= 0.95, f"paged/row tokens/s {speed_ratio:.3f} below 0.95"
 
 
 #: Concurrent long-prompt requests in the streaming TTFT workload.

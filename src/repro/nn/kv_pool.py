@@ -1,4 +1,4 @@
-"""Paged attention K/V memory: a refcounted block pool with copy-on-write.
+"""Paged attention K/V memory: a refcounted block pool with scratch-tail verification.
 
 :class:`~repro.nn.kv_cache.KVCache` gives every request one contiguous row
 sized for the full context window.  That layout is simple but pays for it
@@ -23,36 +23,49 @@ it owns a **block table** — the ordered list of block ids holding its prefix
 *every* layer (per-layer physical arrays, one logical id), so tables stay
 per-sequence, not per-layer.
 
-Blocks are **refcounted**.  Sharing a prefix between two sequences is
-aliasing the same block ids and bumping refcounts — zero K/V copies — and
-three operations that are O(tokens) copies for row caches become O(table)
-pointer updates here:
+Blocks are **refcounted**, and pool blocks only ever hold **committed** K/V.
+Sharing a prefix is aliasing block ids: :meth:`PagedKVCache.snapshot_prefix`
+pins a prompt's blocks for the prefix cache and
+:meth:`PagedKVCache.splice_prefix` aliases them into a fresh row — zero K/V
+copies either way.
 
-* prefix-cache hits (:meth:`PagedKVCache.splice_prefix` aliases the retained
-  blocks into the fresh row);
-* speculative tiling (:meth:`PagedKVCache.repeat_rows` aliases each request
-  row once per candidate);
-* per-step compaction and cancellation (:meth:`PagedKVCache.compact_rows` /
-  :meth:`PagedKVCache.select_rows` re-alias survivors and decref the rest —
-  freeing a cancelled request is dropping its table).
+Speculative verification never touches the block store (PagedAttention,
+Kwon et al. 2023; Medusa, Cai et al. 2024):
 
-Writes preserve sharing through **copy-on-write**: before a forward appends
-into a block whose refcount exceeds one, the block is copied into a fresh
-exclusive block and the writer's table entry is repointed
-(:meth:`PagedKVCache._ensure_writable`).  Divergence therefore costs at most
-one partially-filled block per writer; everything up to the divergence point
-stays physically shared.  The pool counts these (``cow_events``) along with
-its high-water mark (``peak_blocks_in_use``), which is what the shared-prefix
-memory bench compares against the row path's allocated bytes.
+* :meth:`PagedKVCache.repeat_rows` returns a **step cache** that *borrows*
+  each request's block table once per candidate — no references taken;
+* the step cache's :meth:`PagedLayerKV.append` gathers every request's
+  committed prefix once (one take of whole blocks through a padded table
+  array, one transpose), tiles it per candidate, writes the candidate window
+  into that dense array — the **scratch tail** — and keeps only the window
+  projections;
+* :meth:`PagedKVCache.compact_rows` / :meth:`PagedKVCache.compact_paths`
+  then write just the accepted row's or path's tokens into the request's own
+  blocks and *move* the request tables into the next cache, the way
+  :meth:`PagedKVCache.concat` does.  Rejected candidates never existed in
+  the pool, so there is nothing to free.
 
-The attention read path is a **gather**: each layer view
-(:class:`PagedLayerKV`) resolves block tables into contiguous
-``(batch, heads, view, head_dim)`` arrays for
-:class:`~repro.nn.layers.CausalSelfAttention`, which therefore runs unchanged
-over paged or row storage.  Positions past a row's own length may surface
-stale-but-finite block contents, exactly like the row cache's stale tail
-slots; the causal mask (or the caller's ``attn_bias``) pins their scores to
-``-1e9``, whose softmax weight underflows to exactly ``0.0``, so stale
+Writes preserve sharing through **copy-on-write**, made rare by a per-block
+**fill frontier** (:attr:`KVBlockPool.filled`, the highest offset ever
+written since allocation): a shared block may be appended to in place at or
+past its frontier, because every holder reads only positions below it.  The
+request that prefilled a prompt therefore keeps appending into its tail
+block after the prefix cache pinned it; the one copy left is a spliced
+request's first write into a tail block whose frontier another writer
+already advanced (:meth:`PagedKVCache._ensure_writable`).  The pool counts
+these (``cow_events``) along with its high-water mark
+(``peak_blocks_in_use``), which is what the shared-prefix memory bench
+compares against the row path's allocated bytes.
+
+The attention read path is a **block-granular gather**: each forward builds
+one padded ``(rows, blocks)`` table array, and every layer takes whole
+blocks through it and transposes them into the contiguous-per-head
+``(batch, heads, view, head_dim)`` arrays
+:class:`~repro.nn.layers.CausalSelfAttention` consumes, so it runs
+unchanged over paged or row storage.  Positions past a row's own length may
+surface stale-but-finite block contents, exactly like the row cache's stale
+tail slots; the causal mask (or the caller's ``attn_bias``) pins their scores
+to ``-1e9``, whose softmax weight underflows to exactly ``0.0``, so stale
 storage can never leak into an output — the engine's paged/row
 token-identity tests pin this down.
 
@@ -65,7 +78,8 @@ pool cannot hold — lives in :meth:`repro.serving.scheduler.Scheduler.admit`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+import math
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,8 +103,8 @@ class KVBlockPool:
     """Shared physical K/V storage: fixed-size token blocks with refcounts.
 
     Per layer, keys and values live in one preallocated array of shape
-    ``(num_blocks, num_heads, block_size, head_dim)``; block id ``b`` is the
-    same logical token span across all layers.  The pool hands out exclusive
+    ``(2, num_heads, num_blocks, block_size, head_dim)``; block id ``b`` is
+    the same logical token span across all layers.  The pool hands out exclusive
     blocks (:meth:`alloc`, refcount 1), lets holders share them
     (:meth:`incref`) and returns them to the free list when the last
     reference drops (:meth:`decref`).  It is a dumb allocator on purpose:
@@ -129,17 +143,24 @@ class KVBlockPool:
         self.head_dim = head_dim
         self.block_size = block_size
         self.num_blocks = num_blocks
-        self.k: List[np.ndarray] = [
-            np.zeros((num_blocks, num_heads, block_size, head_dim), dtype=np.float32)
+        #: Per layer, keys and values of every block,
+        #: ``(2, num_heads, num_blocks, block_size, head_dim)``: one take
+        #: along the block axis reads both, already in per-head order.
+        #: :attr:`k` / :attr:`v` view the halves as
+        #: ``(num_blocks, num_heads, block_size, head_dim)``.
+        self.kv: List[np.ndarray] = [
+            np.zeros((2, num_heads, num_blocks, block_size, head_dim), dtype=np.float32)
             for _ in range(num_layers)
         ]
-        self.v: List[np.ndarray] = [
-            np.zeros((num_blocks, num_heads, block_size, head_dim), dtype=np.float32)
-            for _ in range(num_layers)
-        ]
+        self.k: List[np.ndarray] = [kv[0].transpose(1, 0, 2, 3) for kv in self.kv]
+        self.v: List[np.ndarray] = [kv[1].transpose(1, 0, 2, 3) for kv in self.kv]
         #: Holders per block; 0 = free.  A "holder" is one block-table entry
         #: or one retained prefix reference, never a transient view.
         self.refcounts = np.zeros(num_blocks, dtype=np.int64)
+        #: Fill frontier per block: one past the highest offset written since
+        #: the block was allocated.  Every holder reads only below it, so a
+        #: shared block may still be appended to in place at or past it.
+        self.filled = np.zeros(num_blocks, dtype=np.int64)
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
         #: Copy-on-write copies performed (one per diverging block).
         self.cow_events = 0
@@ -149,6 +170,9 @@ class KVBlockPool:
         #: Must free at least one holder somewhere and return True, or return
         #: False to signal nothing more can be reclaimed.
         self.on_pressure: Optional[Callable[[], bool]] = None
+        #: Reusable float32 buffers for the dense arrays appends return (see
+        #: :meth:`scratch`), grown on demand and never shrunk.
+        self._scratch: Dict[str, np.ndarray] = {}
 
     # -- inspection ----------------------------------------------------------
 
@@ -189,6 +213,20 @@ class KVBlockPool:
             "peak_kv_bytes": self.peak_blocks_in_use * self.block_nbytes,
         }
 
+    def scratch(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float32 array of ``shape`` with undefined contents.
+
+        Backed by one buffer per ``name`` that lives as long as the pool, so
+        the per-layer dense arrays of every forward reuse warm memory instead
+        of faulting in fresh pages.  The array is valid until the next call
+        with the same ``name``.
+        """
+        size = math.prod(shape)
+        buffer = self._scratch.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._scratch[name] = np.empty(size, dtype=np.float32)
+        return buffer[:size].reshape(shape)
+
     # -- allocation ----------------------------------------------------------
 
     def alloc(self) -> int:
@@ -208,6 +246,7 @@ class KVBlockPool:
                 )
         block = self._free.pop()
         self.refcounts[block] = 1
+        self.filled[block] = 0
         in_use = self.blocks_in_use
         if in_use > self.peak_blocks_in_use:
             self.peak_blocks_in_use = in_use
@@ -230,13 +269,13 @@ class KVBlockPool:
     def copy_block(self, source: int) -> int:
         """Copy-on-write: clone ``source``'s contents (all layers) into a fresh block.
 
-        The returned block has refcount 1; the caller repoints its table
-        entry and drops its reference to ``source``.
+        The returned block has refcount 1 and ``source``'s fill frontier; the
+        caller repoints its table entry and drops its reference to ``source``.
         """
         target = self.alloc()
-        for layer in range(self.num_layers):
-            self.k[layer][target] = self.k[layer][source]
-            self.v[layer][target] = self.v[layer][source]
+        for kv in self.kv:
+            kv[:, :, target] = kv[:, :, source]
+        self.filled[target] = self.filled[source]
         self.cow_events += 1
         return target
 
@@ -334,17 +373,58 @@ class PagedPrefix:
             pass
 
 
+def _table_array(tables: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """Block tables as one ``(rows, width)`` index array.
+
+    Rows with shorter tables pad with block 0: garbage reads past the row's
+    own length, masked by the caller like any stale position.
+    """
+    array = np.zeros((len(tables), width), dtype=np.intp)
+    for row, table in enumerate(tables):
+        count = min(len(table), width)
+        if count:
+            array[row, :count] = table[:count]
+    return array
+
+
+def _window_entries(starts: np.ndarray, widths: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten per-row windows: ``(row, offset in window, absolute position)`` per token, row-major."""
+    rows, offsets = np.nonzero(np.arange(widths.max(initial=0)) < widths[:, None])
+    return rows, offsets, starts[rows] + offsets
+
+
+class _ForwardPlan(NamedTuple):
+    """What every layer of one forward shares (built by layer 0's append)."""
+
+    #: Per-row lengths after the append, and the key positions every layer
+    #: returns: ``max(lengths)``.
+    lengths: np.ndarray
+    view: int
+    #: Padded block table of the rows whose prefixes are read, covering ``view``.
+    table: np.ndarray
+    #: Tiles per table row (step caches), or None when each is read once.
+    counts: Optional[np.ndarray]
+    #: Step caches: one entry per appended token — cache row, offset in the
+    #: new window, absolute position — for the scatter into scratch.
+    rows: Optional[np.ndarray]
+    offsets: Optional[np.ndarray]
+    positions: Optional[np.ndarray]
+    #: Owning caches: ``(row, block, first slot, stop slot, window offset)``
+    #: per written block, for the slice writes into the pool.
+    segments: Sequence[Tuple[int, int, int, int, int]]
+    #: Buffers of the block take and of the dense K/V pair.
+    gathered: np.ndarray
+    dense: np.ndarray
+
+
 class PagedLayerKV:
     """One layer's view of a :class:`PagedKVCache` — the attention-facing surface.
 
     Quacks like :class:`~repro.nn.kv_cache.LayerKVCache` for everything
     :class:`~repro.nn.layers.CausalSelfAttention` and the transformer's
     position bookkeeping touch: per-row ``lengths``, ``append_widths``, and
-    :meth:`append` returning contiguous full-prefix K/V arrays.  Appends
-    scatter the new projections into pool blocks (allocating and
-    copy-on-writing through the cache's block tables); reads gather the
-    tables back into dense arrays.  No cross-attention — paged serving is
-    decoder-only, like the engine.
+    :meth:`append` returning full-prefix K/V arrays.  No cross-attention —
+    paged serving is decoder-only, like the engine.
     """
 
     cross_k = None
@@ -374,50 +454,51 @@ class PagedLayerKV:
         return self._cache._append_widths
 
     def append(self, k_new: np.ndarray, v_new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Scatter ``(batch, heads, t, head_dim)`` projections into pool blocks.
+        """Append ``(batch, heads, t, head_dim)`` projections; return the prefix views.
 
         Semantics match :meth:`LayerKVCache.append`: row ``r``'s new K/V
         lands at its own offset ``lengths[r]``, ``append_widths`` trims
-        right-padding, and the return value is the gathered
-        ``0 .. max(lengths)`` prefix view with stale-but-finite storage past
-        each row's own length (masked by the caller).  The first layer's
-        append of a forward performs the block allocation and copy-on-write
-        for the written ranges; later layers find the tables already
-        exclusive and just write.
+        right-padding, and the return value covers ``0 .. max(lengths)``
+        with stale-but-finite storage past each row's own length (masked by
+        the caller).  A forward appends to layers ``0 .. L-1`` in order:
+        layer 0 allocates and copy-on-writes the written ranges and builds
+        the padded table array once; every layer reuses them.
+
+        On a cache that owns its tables the window is written into pool
+        blocks and read back with the prefix.  On a step cache
+        (:meth:`PagedKVCache.repeat_rows`) the pool is only read: each
+        request's committed prefix is gathered once and tiled per candidate,
+        the window lands in that scratch copy, and the projections are kept
+        for :meth:`PagedKVCache.compact_rows` / ``compact_paths``.
+
+        The returned arrays live in the pool's :meth:`KVBlockPool.scratch`
+        buffers: they stay valid until the next append into the same pool,
+        which is as long as attention reads them.
         """
         cache = self._cache
-        batch = len(cache._tables)
-        t = k_new.shape[2]
-        if k_new.shape[0] != batch:
-            raise ValueError(f"batch mismatch: cache has {batch} rows, got {k_new.shape[0]}")
-        if cache._append_widths is None:
-            widths = np.full(batch, t, dtype=np.int64)
+        if k_new.shape[0] != len(cache._tables):
+            raise ValueError(f"batch mismatch: cache has {len(cache._tables)} rows, got {k_new.shape[0]}")
+        if self.index == 0:
+            cache._plan = cache._plan_forward(k_new.shape[2])
+            cache._next_layer = 0
+        plan = cache._plan
+        if self.index != cache._next_layer:
+            raise ValueError("paged appends run layers 0 .. L-1 in order, once each per forward")
+        cache._next_layer += 1
+        if cache._source is None:
+            k_pool, v_pool = cache.pool.k[self.index], cache.pool.v[self.index]
+            for row, block, first, stop, offset in plan.segments:
+                end = offset + stop - first
+                k_pool[block, :, first:stop] = k_new[row, :, offset:end]
+                v_pool[block, :, first:stop] = v_new[row, :, offset:end]
+            k, v = cache._dense(self.index, plan)
         else:
-            widths = np.asarray(cache._append_widths, dtype=np.int64)
-            if widths.shape != (batch,):
-                raise ValueError(f"append_widths shape {widths.shape} != (batch,) = ({batch},)")
-            if np.any(widths < 0) or np.any(widths > t):
-                raise ValueError(f"append widths must lie in [0, {t}], got {widths}")
-        starts = cache._layer_lengths[self.index]
-        new_lengths = starts + widths
-        pool = cache.pool
-        block_size = pool.block_size
-        k_pool = pool.k[self.index]
-        v_pool = pool.v[self.index]
-        for row in range(batch):
-            width = int(widths[row])
-            if width == 0:
-                continue
-            start = int(starts[row])
-            cache._ensure_writable(row, start, start + width)
-            positions = np.arange(start, start + width)
-            table = np.asarray(cache._tables[row], dtype=np.int64)
-            block_ids = table[positions // block_size]
-            offsets = positions % block_size
-            k_pool[block_ids, :, offsets, :] = k_new[row, :, :width].transpose(1, 0, 2)
-            v_pool[block_ids, :, offsets, :] = v_new[row, :, :width].transpose(1, 0, 2)
-        cache._layer_lengths[self.index] = new_lengths
-        return cache._gather(self.index, int(new_lengths.max(initial=0)))
+            k, v = cache._dense(self.index, plan)
+            k[plan.rows, :, plan.positions] = k_new[plan.rows, :, plan.offsets]
+            v[plan.rows, :, plan.positions] = v_new[plan.rows, :, plan.offsets]
+            cache._window[self.index] = (k_new, v_new)
+        cache._layer_lengths[self.index] = plan.lengths.copy()
+        return k, v
 
 
 class PagedKVCache:
@@ -427,13 +508,15 @@ class PagedKVCache:
     :class:`~repro.nn.kv_cache.KVCache`: the same batched/ragged surface
     (``lengths``, ``append_widths``, ``layers`` for the forward, and the
     multi-row serving operations), but rows are block tables into shared pool
-    storage, so the operations that copy tokens in the row cache become table
-    aliasing here — see the module docstring for the mapping.
+    storage — see the module docstring for the mapping.
 
-    Every row's table entries hold one pool reference each.  The cache must
-    be :meth:`release`\\ d (or consumed by :meth:`concat`) when discarded;
-    the serving engine does so explicitly at each step's compaction, which is
-    what the fuzz suite's leak checks (refcounts return to zero) pin down.
+    A cache either **owns** its tables — every entry holds one pool
+    reference, and the cache must be :meth:`release`\\ d or consumed
+    (:meth:`concat`, :meth:`compact_rows`, :meth:`compact_paths`) when
+    discarded, which is what the fuzz suite's leak checks (refcounts return
+    to zero) pin down — or it is a **step cache** from :meth:`repeat_rows`,
+    which borrows its source's tables for one verification forward and
+    holds no references at all.
     """
 
     def __init__(self, pool: KVBlockPool, batch: int = 0) -> None:
@@ -445,6 +528,18 @@ class PagedKVCache:
         self._append_widths: Optional[np.ndarray] = None
         self.layers: List[PagedLayerKV] = [PagedLayerKV(self, i) for i in range(pool.num_layers)]
         self._released = False
+        #: The current forward's plan, and the layer expected to append next.
+        self._plan: Optional[_ForwardPlan] = None
+        self._next_layer = -1
+        # Step-cache state (see repeat_rows): the cache whose tables are
+        # borrowed, each step row's source row, the tiles per source row
+        # (None = one each), the committed lengths at tiling, and each
+        # layer's scratch window projections.
+        self._source: Optional["PagedKVCache"] = None
+        self._source_rows: Optional[np.ndarray] = None
+        self._counts: Optional[np.ndarray] = None
+        self._committed: Optional[np.ndarray] = None
+        self._window: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * pool.num_layers
 
     # -- inspection ----------------------------------------------------------
 
@@ -502,70 +597,193 @@ class PagedKVCache:
         """
         self._append_widths = None if widths is None else np.asarray(widths, dtype=np.int64)
 
+    # -- forward plumbing ------------------------------------------------------
+
+    def _require_owner(self, operation: str) -> None:
+        if self._source is not None:
+            raise ValueError(
+                f"{operation} needs a cache that owns its block tables; a step cache from "
+                f"repeat_rows only verifies one window and is then compacted"
+            )
+
+    def _plan_forward(self, t: int) -> _ForwardPlan:
+        """Validate the append widths and build the index arrays of one forward.
+
+        A cache that owns its tables extends them and copy-on-writes here,
+        once per forward, so every layer can write its window straight into
+        the pool.  A step cache borrows its source's tables and writes
+        nothing.
+        """
+        batch = len(self._tables)
+        if self._append_widths is None:
+            widths = np.full(batch, t, dtype=np.int64)
+        else:
+            widths = np.asarray(self._append_widths, dtype=np.int64)
+            if widths.shape != (batch,):
+                raise ValueError(f"append_widths shape {widths.shape} != (batch,) = ({batch},)")
+            if np.any(widths < 0) or np.any(widths > t):
+                raise ValueError(f"append widths must lie in [0, {t}], got {widths}")
+        starts = self._layer_lengths[0]
+        lengths = starts + widths
+        if self._source is not None:
+            if self._window[0] is not None:
+                raise ValueError("a step cache verifies one window; compact it before the next forward")
+            return self._read_plan(lengths, entries=_window_entries(starts, widths))
+        segments = []
+        for row, (start, length) in enumerate(zip(starts.tolist(), lengths.tolist())):
+            if length > start:
+                offset = 0
+                for block, first, stop in self._ensure_writable(row, start, length):
+                    segments.append((row, block, first, stop, offset))
+                    offset += stop - first
+        return self._read_plan(lengths, segments=segments)
+
+    def _read_plan(
+        self,
+        lengths: np.ndarray,
+        entries: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+        segments: Sequence[Tuple[int, int, int, int, int]] = (),
+        scratch: bool = True,
+    ) -> _ForwardPlan:
+        """The block table and buffers that read ``max(lengths)`` positions per row.
+
+        ``entries`` / ``segments`` are the window's scratch / pool
+        destinations (see :class:`_ForwardPlan`).  ``scratch`` backs the
+        buffers with the pool's reusable :meth:`KVBlockPool.scratch` arrays
+        instead of fresh ones.
+        """
+        rows, offsets, positions = entries if entries is not None else (None, None, None)
+        pool = self.pool
+        view = int(lengths.max(initial=0))
+        tables = self._tables if self._source is None else self._source._tables
+        table = _table_array(tables, blocks_for(view, pool.block_size))
+        gathered_shape = (2, pool.num_heads) + table.shape + (pool.block_size, pool.head_dim)
+        dense_shape = (2, len(self._tables), pool.num_heads, table.shape[1], pool.block_size, pool.head_dim)
+        if scratch:
+            gathered, dense = pool.scratch("gather", gathered_shape), pool.scratch("dense", dense_shape)
+        else:
+            gathered, dense = np.empty(gathered_shape, np.float32), np.empty(dense_shape, np.float32)
+        return _ForwardPlan(lengths, view, table, self._counts, rows, offsets, positions, segments, gathered, dense)
+
+    def _dense(self, layer: int, plan: _ForwardPlan) -> Tuple[np.ndarray, np.ndarray]:
+        """One layer's ``(batch, heads, view, head_dim)`` K and V arrays, read through ``plan``.
+
+        One take of whole blocks (keys and values together), then one
+        copy that puts rows before heads — per candidate tile on a step
+        cache; a single row needs no copy.  Each result is a ``[:, :, :view]``
+        slice of a block-padded buffer whose ``(view, head_dim)`` matrices
+        are C-contiguous: exactly the layout of the row cache's
+        ``k[:, :, :view]``, so ``np.matmul`` picks the same kernel and
+        float32 summation order and paged outputs stay bitwise those of row
+        caches.
+        """
+        out = plan.dense
+        np.take(self.pool.kv[layer], plan.table, axis=2, out=plan.gathered, mode="clip")
+        blocks = plan.gathered.transpose(0, 2, 1, 3, 4, 5)  # (k/v, rows, heads, blocks, block, dim)
+        if plan.counts is None and blocks.flags.c_contiguous:
+            out = blocks
+        elif plan.counts is None:
+            np.copyto(out, blocks)
+        else:
+            start = 0
+            for row, count in enumerate(plan.counts):
+                out[:, start : start + count] = blocks[:, row, None]
+                start += count
+        _, batch, heads, width, block, dim = out.shape
+        dense = out.reshape(2, batch, heads, width * block, dim)[:, :, :, : plan.view]
+        return dense[0], dense[1]
+
+    def _gather(self, layer: int, view: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense K/V of one layer over ``view`` positions, as attention would see it.
+
+        Committed positions come from the pool and a step cache's window
+        from its scratch projections; positions past a row's length are stale.
+        """
+        k, v = self._dense(layer, self._read_plan(np.full(1, view), scratch=False))
+        if self._window[layer] is not None:
+            k_window, v_window = self._window[layer]
+            widths = self._layer_lengths[layer] - self._committed
+            rows, offsets, positions = _window_entries(self._committed, widths)
+            k[rows, :, positions] = k_window[rows, :, offsets]
+            v[rows, :, positions] = v_window[rows, :, offsets]
+        return k, v
+
     # -- block-table maintenance ---------------------------------------------
 
-    def _ensure_writable(self, row: int, start: int, new_length: int) -> None:
-        """Make positions ``start .. new_length`` of ``row`` exclusively writable.
+    def _ensure_writable(self, row: int, start: int, end: int) -> List[Tuple[int, int, int]]:
+        """Make positions ``start .. end`` of ``row`` writable in place.
 
-        Extends the row's table with fresh blocks to cover ``new_length`` and
-        copy-on-writes any *existing* table entry overlapping the written
-        range whose block is shared (refcount > 1) — typically just the
-        row's last, partially-filled block after a prefix splice or a
-        ``repeat_rows`` tiling.  Blocks wholly before ``start`` are only ever
-        read and stay shared.  Idempotent: once a block is exclusive, later
-        layers' identical calls find refcount 1 and do nothing.
+        Extends the row's table with fresh blocks to cover ``end`` and
+        copy-on-writes an *existing* shared entry in the written range only
+        when its fill frontier says another holder reads the slots about to
+        be written — in practice just a spliced prefix's trailing partial
+        block.  Advances the frontier of every written block and returns
+        the written ``(block, first slot, stop slot)`` segments.
         """
         pool = self.pool
         table = self._tables[row]
         block_size = pool.block_size
-        needed = blocks_for(new_length, block_size)
-        first_written = start // block_size
-        for i in range(first_written, min(len(table), needed)):
+        first = start // block_size
+        needed = blocks_for(end, block_size)
+        for i in range(first, min(len(table), needed)):
             block = table[i]
-            if pool.refcounts[block] > 1:
+            if pool.refcounts[block] > 1 and pool.filled[block] > max(start - i * block_size, 0):
                 replacement = pool.copy_block(block)
                 pool.decref(block)
                 table[i] = replacement
         while len(table) < needed:
             table.append(pool.alloc())
+        segments = []
+        for i in range(first, needed):
+            block = table[i]
+            stop = min(end - i * block_size, block_size)
+            if pool.filled[block] < stop:
+                pool.filled[block] = stop
+            segments.append((block, max(start - i * block_size, 0), stop))
+        return segments
 
-    def _gather(self, layer: int, view: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(batch, heads, view, head_dim)`` K/V arrays for one layer.
+    def _move_tables(self, picks: np.ndarray, keep: Sequence[int]) -> List[List[int]]:
+        """Hand this cache's tables to new rows: ``picks[i]``'s first ``keep[i]`` blocks.
 
-        Rows shorter than ``view`` read whatever their (padded) table entries
-        hold — stale but finite, exactly the row cache's stale-tail contract,
-        masked to weight zero by causal/bias masking downstream.
+        A table picked once *moves* (only the blocks past ``keep`` are
+        decref'd); one picked several times is aliased with increfs; one not
+        picked is released.  The caller drops its own ``_tables`` afterwards.
         """
         pool = self.pool
-        batch = len(self._tables)
-        if batch == 0 or view == 0:
-            shape = (batch, pool.num_heads, view, pool.head_dim)
-            return np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.float32)
-        block_size = pool.block_size
-        num_view_blocks = blocks_for(view, block_size)
-        # Rows with shorter tables pad with block 0: garbage reads, masked.
-        table_arr = np.zeros((batch, num_view_blocks), dtype=np.int64)
-        for row, table in enumerate(self._tables):
-            m = min(len(table), num_view_blocks)
-            if m:
-                table_arr[row, :m] = table[:m]
-        positions = np.arange(view)
-        block_ids = table_arr[:, positions // block_size]  # (batch, view)
-        offsets = np.broadcast_to(positions % block_size, (batch, view))
-        k = pool.k[layer][block_ids, :, offsets, :]  # (batch, view, heads, head_dim)
-        v = pool.v[layer][block_ids, :, offsets, :]
-        # Contiguous copies, not transposed views: np.matmul picks its kernel
-        # (and therefore its float32 summation order) by memory layout, and
-        # the paged engine's outputs must be bitwise those of the row cache.
-        return (
-            np.ascontiguousarray(k.transpose(0, 2, 1, 3)),
-            np.ascontiguousarray(v.transpose(0, 2, 1, 3)),
-        )
+        uses = np.bincount(picks, minlength=len(self._tables))
+        moved: List[List[int]] = []
+        for source, count in zip(picks, keep):
+            table = self._tables[source]
+            if uses[source] == 1:
+                for block in table[count:]:
+                    pool.decref(block)
+                del table[count:]
+                moved.append(table)
+            else:
+                piece = table[:count]
+                for block in piece:
+                    pool.incref(block)
+                moved.append(piece)
+        for source, table in enumerate(self._tables):
+            if uses[source] != 1:
+                for block in table:
+                    pool.decref(block)
+        return moved
 
     # -- lifetime ------------------------------------------------------------
 
+    def _drop(self) -> None:
+        """Forget every table and length without touching refcounts."""
+        self._released = True
+        self._tables = []
+        self._layer_lengths = [np.zeros(0, dtype=np.int64) for _ in range(self.pool.num_layers)]
+        self._plan = None
+        self._next_layer = -1
+        self._source = None
+        self._window = [None] * self.pool.num_layers
+
     def release(self) -> None:
-        """Drop every table's block references (idempotent).
+        """Drop every table's block references (idempotent; a step cache holds none).
 
         The engine calls this the moment a cache generation is superseded
         (step-cache compaction, cancellation); ``__del__`` only backstops
@@ -573,12 +791,11 @@ class PagedKVCache:
         """
         if self._released:
             return
-        self._released = True
-        for table in self._tables:
-            for block in table:
-                self.pool.decref(block)
-        self._tables = []
-        self._layer_lengths = [np.zeros(0, dtype=np.int64) for _ in range(self.pool.num_layers)]
+        if self._source is None:
+            for table in self._tables:
+                for block in table:
+                    self.pool.decref(block)
+        self._drop()
 
     def __del__(self) -> None:  # pragma: no cover - backstop, not the contract
         try:
@@ -589,34 +806,24 @@ class PagedKVCache:
     # -- multi-request serving operations -------------------------------------
 
     def select_rows(self, rows: Sequence[int]) -> None:
-        """Re-alias the cache to an arbitrary subset/ordering of rows, in place.
+        """Keep an arbitrary subset/ordering of rows, in place.
 
-        The paged :meth:`KVCache.select_rows`: survivors' tables are aliased
-        (incref), dropped rows' references released — reclaiming a finished
-        or cancelled request frees its pages instead of copying every other
-        row around it.
+        The paged :meth:`KVCache.select_rows`: survivors' tables move, and
+        only the rows that leave are decref'd — reclaiming a finished or
+        cancelled request frees its pages without touching anyone else's.
         """
+        self._require_owner("select_rows")
         rows = list(rows)
         for row in rows:
             if not 0 <= row < self.batch:
                 raise IndexError(f"row {row} out of range for batch {self.batch}")
-        pool = self.pool
-        new_tables: List[List[int]] = []
-        for row in rows:
-            table = list(self._tables[row])
-            for block in table:
-                pool.incref(block)
-            new_tables.append(table)
-        old_tables = self._tables
-        self._tables = new_tables
-        for table in old_tables:
-            for block in table:
-                pool.decref(block)
         index = np.asarray(rows, dtype=np.int64)
+        self._tables = self._move_tables(index, [len(self._tables[row]) for row in rows])
         self._layer_lengths = [lengths[index].copy() for lengths in self._layer_lengths]
 
     def truncate_rows(self, lengths: Sequence[int]) -> None:
         """Roll each row back to its own committed prefix, freeing vacated blocks."""
+        self._require_owner("truncate_rows")
         target = np.asarray(lengths, dtype=np.int64)
         if target.shape != (self.batch,):
             raise ValueError(f"lengths shape {target.shape} != (batch,) = ({self.batch},)")
@@ -632,13 +839,17 @@ class PagedKVCache:
                 pool.decref(table.pop())
 
     def repeat_rows(self, repeats: Union[int, Sequence[int]], capacity: Optional[int] = None) -> "PagedKVCache":
-        """Tile row ``r`` ``repeats[r]`` times into a new cache — by aliasing, no copy.
+        """Tile row ``r`` ``repeats[r]`` times into a step cache — no references, no copies.
 
-        The speculative verification step's row tiling: every tile shares the
-        source row's blocks until its first divergent append copy-on-writes
-        the written block.  ``capacity`` is accepted for row-cache signature
+        The speculative verification step's row tiling.  The step cache
+        borrows this cache's block tables for one forward: its append reads
+        the committed prefixes and keeps the candidate window in scratch
+        (see :meth:`PagedLayerKV.append`), and its :meth:`compact_rows` /
+        :meth:`compact_paths` commit the accepted tokens and consume this
+        cache.  ``capacity`` is accepted for row-cache signature
         compatibility and ignored — paged storage has no per-row capacity.
         """
+        self._require_owner("repeat_rows")
         if isinstance(repeats, (int, np.integer)):
             counts = np.full(self.batch, int(repeats), dtype=np.int64)
         else:
@@ -647,27 +858,26 @@ class PagedKVCache:
                 raise ValueError(f"repeats shape {counts.shape} != (batch,) = ({self.batch},)")
         if np.any(counts < 0):
             raise ValueError(f"repeat counts must be non-negative, got {counts}")
-        pool = self.pool
-        out = PagedKVCache(pool, batch=0)
-        for row, count in enumerate(counts):
-            for _ in range(int(count)):
-                table = list(self._tables[row])
-                for block in table:
-                    pool.incref(block)
-                out._tables.append(table)
+        out = PagedKVCache(self.pool, batch=0)
+        out._source = self
+        out._source_rows = np.repeat(np.arange(self.batch), counts)
+        out._counts = None if np.all(counts == 1) else counts
+        out._tables = [self._tables[row] for row in out._source_rows]
         out._layer_lengths = [np.repeat(lengths, counts) for lengths in self._layer_lengths]
+        out._committed = out._layer_lengths[0].copy()
         return out
 
     def compact_rows(
         self, rows: Sequence[int], lengths: Sequence[int], capacity: Optional[int] = None
     ) -> "PagedKVCache":
-        """Gather ``rows`` truncated to per-row ``lengths`` into a new cache — by aliasing.
+        """Gather ``rows`` truncated to per-row ``lengths`` into a new cache.
 
-        The per-step compaction: new row ``i`` aliases source row
-        ``rows[i]``'s first ``blocks_for(lengths[i])`` blocks.  The caller
-        releases the source caches afterwards, which frees every rejected
-        candidate's copy-on-write blocks.  ``capacity`` is ignored (see
-        :meth:`repeat_rows`).
+        The per-step compaction: new row ``i`` is row ``rows[i]``'s first
+        ``lengths[i]`` positions.  On a step cache the accepted window tokens
+        are written into the request's own blocks and the request tables
+        move into the new cache, consuming the source cache; on an owning
+        cache the tables move the same way and this cache is consumed.
+        ``capacity`` is ignored (see :meth:`repeat_rows`).
         """
         rows = list(rows)
         for row in rows:
@@ -679,17 +889,9 @@ class PagedKVCache:
         if np.any(target < 0):
             raise ValueError(f"cannot compact to negative lengths {target}")
         index = np.asarray(rows, dtype=np.int64)
-        kept_lengths = np.minimum(self._layer_lengths[0][index], target) if rows else target
-        pool = self.pool
-        out = PagedKVCache(pool, batch=0)
-        for i, row in enumerate(rows):
-            keep = blocks_for(int(kept_lengths[i]), pool.block_size)
-            table = list(self._tables[row][:keep])
-            for block in table:
-                pool.incref(block)
-            out._tables.append(table)
-        out._layer_lengths = [kept_lengths.copy() for _ in range(pool.num_layers)]
-        return out
+        kept = np.minimum(self._layer_lengths[0][index], target)
+        base = np.minimum(kept, self._committed_lengths()[index])
+        return self._commit(index, base, kept - base)
 
     def compact_paths(
         self,
@@ -701,12 +903,12 @@ class PagedKVCache:
         """Gather per-row accepted tree paths into a new cache.
 
         Same contract as :meth:`KVCache.compact_paths`: new row ``i`` is
-        source row ``rows[i]``'s committed prefix (``prefixes[i]`` positions,
-        aliased) followed by the K/V of the accepted path's tree nodes
-        (window positions ``paths[i]``, in root-to-leaf order).  The prefix
-        is shared; only the accepted path's handful of positions is copied —
-        O(path), not O(prefix) — landing after a copy-on-write of the
-        prefix's trailing partial block.  ``capacity`` is ignored.
+        source row ``rows[i]``'s committed prefix (``prefixes[i]``
+        positions, moved or aliased) followed by the K/V of the accepted
+        path's tree nodes (window positions ``paths[i]``, in root-to-leaf
+        order), written into the row's own blocks — O(path), not O(prefix).
+        Consumes the cache owning the tables, like :meth:`compact_rows`.
+        ``capacity`` is ignored.
         """
         rows = list(rows)
         for row in rows:
@@ -716,60 +918,79 @@ class PagedKVCache:
             raise ValueError(
                 f"rows/prefixes/paths length mismatch: {len(rows)}/{len(prefixes)}/{len(paths)}"
             )
-        pool = self.pool
-        block_size = pool.block_size
         source_lengths = self._layer_lengths[0]
         indices: List[np.ndarray] = []
         for row, prefix, path in zip(rows, prefixes, paths):
             index = np.asarray(list(path), dtype=np.int64)
             if prefix < 0:
                 raise ValueError(f"negative prefix length {prefix}")
+            if self._source is not None and prefix != self._committed[row]:
+                raise ValueError(
+                    f"row {row}: a step cache's paths start at its committed length "
+                    f"{self._committed[row]}, not {prefix}"
+                )
             limit = int(source_lengths[row])
             if index.size and (int(index.min()) < 0 or prefix + int(index.max()) >= limit):
                 raise IndexError(
                     f"row {row}: path positions {index} out of range for window [0, {limit - prefix})"
                 )
             indices.append(index)
-        # Read the accepted paths' K/V out of the source tables before any
-        # table surgery (the sources stay untouched either way — writes only
-        # land in blocks the new cache owns exclusively after copy-on-write).
-        gathered: List[List[Tuple[np.ndarray, np.ndarray]]] = []
-        for row, prefix, index in zip(rows, prefixes, indices):
-            per_layer: List[Tuple[np.ndarray, np.ndarray]] = []
-            if index.size:
-                positions = prefix + index
-                table = np.asarray(self._tables[row], dtype=np.int64)
-                block_ids = table[positions // block_size]
-                offsets = positions % block_size
-                for layer in range(pool.num_layers):
-                    # (path, heads, head_dim) — already copies (fancy indexing).
-                    per_layer.append(
-                        (pool.k[layer][block_ids, :, offsets, :], pool.v[layer][block_ids, :, offsets, :])
-                    )
-            gathered.append(per_layer)
+        base = np.asarray(prefixes, dtype=np.int64).reshape(len(rows))
+        extra = np.asarray([path.size for path in indices], dtype=np.int64)
+        return self._commit(np.asarray(rows, dtype=np.int64), base, extra, indices)
+
+    def _committed_lengths(self) -> np.ndarray:
+        """Per-row positions held in pool blocks (the rest of a step row is scratch)."""
+        return self._committed if self._source is not None else self._layer_lengths[0]
+
+    def _commit(
+        self, rows: np.ndarray, base: np.ndarray, extra: np.ndarray, paths: Optional[List[np.ndarray]] = None
+    ) -> "PagedKVCache":
+        """New cache: row ``i`` keeps ``rows[i]``'s first ``base[i]`` positions and
+        appends ``extra[i]`` more — the ones that follow them, or ``paths[i]``
+        counted from ``base[i]``.
+
+        The values are read before any table surgery can free or reuse a
+        block: a step cache reads its scratch window (every position it
+        commits lies past its committed prefix), an owning cache its pool
+        blocks.  The cache owning the tables (the source of a step cache, or
+        this cache) is consumed.
+        """
+        pool = self.pool
+        block_size = pool.block_size
+        sources = []
+        for i in np.flatnonzero(extra).tolist():
+            row, count = int(rows[i]), int(extra[i])
+            if self._source is not None:
+                # A step cache's base is its committed length: the window
+                # starts right there.
+                picked = slice(0, count) if paths is None else paths[i]
+                values = [(k[row][:, picked], v[row][:, picked]) for k, v in self._window]
+            else:
+                positions = int(base[i]) + (np.arange(count) if paths is None else paths[i])
+                blocks = np.asarray(self._tables[row])[positions // block_size]
+                slots = positions % block_size
+                values = [
+                    (k[blocks, :, slots].transpose(1, 0, 2), v[blocks, :, slots].transpose(1, 0, 2))
+                    for k, v in zip(pool.k, pool.v)
+                ]
+            sources.append((i, values))
+        owner = self if self._source is None else self._source
+        picks = rows if self._source is None else self._source_rows[rows]
+        tables = owner._move_tables(picks, [blocks_for(int(length), block_size) for length in base])
+        owner._drop()
         out = PagedKVCache(pool, batch=0)
-        new_lengths = np.zeros(len(rows), dtype=np.int64)
-        for i, (row, prefix, index) in enumerate(zip(rows, prefixes, indices)):
-            table = list(self._tables[row][: blocks_for(prefix, block_size)])
-            for block in table:
-                pool.incref(block)
-            out._tables.append(table)
-            new_lengths[i] = prefix
-        out._layer_lengths = [new_lengths.copy() for _ in range(pool.num_layers)]
-        for i, (prefix, index) in enumerate(zip(prefixes, indices)):
-            if not index.size:
-                continue
-            out._ensure_writable(i, prefix, prefix + index.size)
-            positions = np.arange(prefix, prefix + index.size)
-            table = np.asarray(out._tables[i], dtype=np.int64)
-            block_ids = table[positions // block_size]
-            offsets = positions % block_size
-            for layer in range(pool.num_layers):
-                k_path, v_path = gathered[i][layer]
-                pool.k[layer][block_ids, :, offsets, :] = k_path
-                pool.v[layer][block_ids, :, offsets, :] = v_path
-            for lengths in out._layer_lengths:
-                lengths[i] = prefix + index.size
+        out._tables = tables
+        for i, values in sources:
+            start, offset = int(base[i]), 0
+            for block, first, stop in out._ensure_writable(i, start, start + int(extra[i])):
+                end = offset + stop - first
+                for (k, v), k_pool, v_pool in zip(values, pool.k, pool.v):
+                    k_pool[block, :, first:stop] = k[:, offset:end]
+                    v_pool[block, :, first:stop] = v[:, offset:end]
+                offset = end
+        lengths = base + extra
+        out._layer_lengths = [lengths.copy() for _ in range(pool.num_layers)]
         return out
 
     @classmethod
@@ -788,6 +1009,7 @@ class PagedKVCache:
                 raise ValueError("concat requires caches sharing one KVBlockPool")
             if cache._released:
                 raise ValueError("concat cannot consume an already-released cache")
+            cache._require_owner("concat")
         out = cls(pool, batch=0)
         out._tables = [table for cache in caches for table in cache._tables]
         out._layer_lengths = [
@@ -795,9 +1017,7 @@ class PagedKVCache:
             for i in range(pool.num_layers)
         ]
         for cache in caches:
-            cache._tables = []
-            cache._layer_lengths = [np.zeros(0, dtype=np.int64) for _ in range(pool.num_layers)]
-            cache._released = True
+            cache._drop()
         return out
 
     # -- prefix-reuse operations ----------------------------------------------
@@ -808,8 +1028,11 @@ class PagedKVCache:
         The paged :meth:`KVCache.gather_prefix`: instead of copying the K/V
         out, the reference increfs the covering blocks, pinning them however
         the row is later compacted, truncated or released.  The prefix cache
-        stores exactly this.
+        stores exactly this.  The row keeps appending into its shared tail
+        block in place — past the block's fill frontier, which the snapshot
+        never reads.
         """
+        self._require_owner("snapshot_prefix")
         if not 0 <= row < self.batch:
             raise IndexError(f"row {row} out of range for batch {self.batch}")
         row_length = int(self._layer_lengths[0][row])
@@ -822,10 +1045,12 @@ class PagedKVCache:
         """Alias a retained prefix's blocks into fresh ``row`` — zero K/V copies.
 
         After the splice the row behaves exactly as if its first
-        ``prefix.length`` tokens had just been prefilled; its first divergent
-        append copy-on-writes the trailing shared block.  The row must be
-        empty, like :meth:`KVCache.splice_prefix`.
+        ``prefix.length`` tokens had just been prefilled; its first append
+        copy-on-writes the trailing shared block if another writer already
+        filled past ``prefix.length`` there.  The row must be empty, like
+        :meth:`KVCache.splice_prefix`.
         """
+        self._require_owner("splice_prefix")
         if not isinstance(prefix, PagedPrefix):
             raise TypeError(
                 f"paged caches splice PagedPrefix references, got {type(prefix).__name__}; "

@@ -186,11 +186,12 @@ class EngineCore:
         """Size the paged pool from the scheduler budgets.
 
         Worst-case committed context (the scheduler's token budget, plus one
-        partially-filled tail block per request), plus the speculative
-        verification transient (each request tiled once per candidate; every
-        tile copy-on-writes its tail block and appends the speculative
-        window), plus full prefix-cache retention, plus a small slack so
-        transient chunked-prefill tails never graze the ceiling.
+        partially-filled tail block per request), plus what a speculative
+        step's commit can allocate per request (one copy-on-write tail block
+        and a window's worth of fresh blocks — candidates are verified in a
+        scratch tail and never touch the pool), plus full prefix-cache
+        retention, plus a small slack so transient chunked-prefill tails
+        never graze the ceiling.
         """
 
         def blocks(tokens: int) -> int:
@@ -199,7 +200,7 @@ class EngineCore:
         cfg = self.scheduler.config
         decode = blocks(cfg.max_batch_tokens) + cfg.max_active_requests
         window = self.max_speculative_heads + 2
-        speculative = cfg.max_active_requests * self.num_candidates * (1 + blocks(window))
+        speculative = cfg.max_active_requests * (1 + blocks(window))
         retention = blocks(self.prefix_cache.max_tokens) if self.prefix_cache is not None else 0
         return decode + speculative + retention + 8
 
@@ -219,8 +220,8 @@ class EngineCore:
         """Scheduler.admit budgets: the pool's free pages, in tokens.
 
         The per-request overhead charges the tail block its footprint
-        rounds into plus the verification transient (one copy-on-write tail
-        block and a window's worth of fresh blocks per candidate tile), so
+        rounds into plus what a speculative commit can allocate (one
+        copy-on-write tail block and a window's worth of fresh blocks), so
         an admitted batch can always complete a speculative step without
         tripping the pressure path.
 
@@ -236,7 +237,7 @@ class EngineCore:
             return {}
         block_size = self._pool.block_size
         window = self.max_speculative_heads + 2
-        overhead_blocks = 1 + self.num_candidates * (1 + -(-window // block_size))
+        overhead_blocks = 2 + -(-window // block_size)
         overhead_tokens = overhead_blocks * block_size
         reserved = 0
         for row, state in enumerate(self._active):
@@ -444,16 +445,13 @@ class EngineCore:
         head-of-queue request pre-evicts retained prefix entries while it
         would not fit, so retention never starves admission.
         """
+        kwargs = self._admission_kwargs()
         if self._pool is not None and self.prefix_cache is not None and self.scheduler.waiting:
             head = self.scheduler.waiting[0]
-            kwargs = self._admission_kwargs()
             needed = head.request.footprint_tokens + kwargs["page_overhead_tokens"]
-            while (
-                self._admission_kwargs()["free_page_tokens"] < needed
-                and self.prefix_cache.evict_lru()
-            ):
-                pass
-        for state in self.scheduler.admit(**self._admission_kwargs()):
+            while kwargs["free_page_tokens"] < needed and self.prefix_cache.evict_lru():
+                kwargs = self._admission_kwargs()
+        for state in self.scheduler.admit(**kwargs):
             state.started_at = self.clock()
             prompt = state.request.prompt_ids
             # Built before the budget check so even a prompt-overflow finish
@@ -735,10 +733,11 @@ class EngineCore:
             state.last_heads = [h[index] for h in head_logits]
 
         # Compact: accepted candidate row per request, rolled back to its
-        # committed prefix (one fused copy in row mode, a block-table alias
-        # in paged mode); then release the transient tiling and the old
-        # shared cache (paged: drop their block refs — no-op in row mode)
-        # and reclaim the rows of finished requests.
+        # committed prefix (one fused copy in row mode; in paged mode the
+        # accepted tokens are written into the request's own blocks and its
+        # table moves over, consuming the old shared cache); then release
+        # the transient tiling and the old shared cache (no-ops once
+        # consumed) and reclaim the rows of finished requests.
         new_cache = step_cache.compact_rows(keep_rows, committed_lengths)
         step_cache.release()
         self._cache.release()
@@ -858,10 +857,10 @@ class EngineCore:
             state.last_heads = [h[index] for h in head_logits]
 
         # Compact every row to its committed prefix + accepted path (one
-        # fused copy of the path tokens; paged mode aliases the prefix
-        # blocks); then release the transient step cache and the old shared
-        # cache (paged: drop their block refs — no-op in row mode) and
-        # reclaim the rows of finished requests.
+        # fused copy of the path tokens; paged mode writes them into the
+        # request's own blocks and moves its table over); then release the
+        # transient step cache and the old shared cache (no-ops once
+        # consumed) and reclaim the rows of finished requests.
         new_cache = step_cache.compact_paths(list(range(len(active))), prefixes, paths)
         step_cache.release()
         self._cache.release()

@@ -274,20 +274,22 @@ class TestPagedVsRowContent:
         pool, row_cache, paged = self._pair(batch=2)
         rng = np.random.default_rng(2)
         append_both(row_cache, paged, rng, 6)
+        refcounts, in_use = pool.refcounts.copy(), pool.blocks_in_use
         row_step = row_cache.repeat_rows([2, 3])
         paged_step = paged.repeat_rows([2, 3])
-        # Tiling is pure aliasing: zero copies until a write diverges.
-        assert pool.cow_events == 0
         append_both(row_step, paged_step, rng, 3, widths=[3, 2, 1, 3, 2])
         assert_same_content(row_step, paged_step)
-        assert pool.cow_events > 0  # the shared tail blocks diverged
-        # Sources are untouched by the tiles' divergent writes.
+        # Tiling borrows the tables and the windows stay in scratch: the
+        # verification forward takes no reference and writes no block.
+        np.testing.assert_array_equal(pool.refcounts, refcounts)
+        assert pool.blocks_in_use == in_use and pool.cow_events == 0
         assert_same_content(row_cache, paged)
         row_new = row_step.compact_rows([1, 3], [8, 7])
         paged_new = paged_step.compact_rows([1, 3], [8, 7])
         paged_step.release()
         paged.release()
         assert_same_content(row_new, paged_new)
+        assert pool.cow_events == 0
         paged_new.release()
         assert np.all(pool.refcounts == 0)
 

@@ -984,6 +984,142 @@ class TestPagedKVMemory:
         assert engine._pool.blocks_in_use == 0
 
 
+def _mixed_scratch_configs():
+    """Greedy, sampled, tree-verified and grammar-constrained requests."""
+    return [
+        GenerationConfig.greedy_config(16),
+        GenerationConfig.sampling_config(0.8, 14, seed=3),
+        GenerationConfig.greedy_config(16, tree_verify=True),
+        GenerationConfig.sampling_config(0.8, 14, seed=5, tree_verify=True),
+        GenerationConfig.greedy_config(16, grammar="verilog"),
+        GenerationConfig.sampling_config(0.8, 14, seed=7, grammar="verilog"),
+        GenerationConfig.greedy_config(16, tree_verify=True, grammar="verilog"),
+        GenerationConfig.greedy_config(12),
+    ]
+
+
+def _pool_drained(engine) -> bool:
+    pool = engine._pool
+    return bool(np.all(pool.refcounts == 0)) and pool.num_free == pool.num_blocks
+
+
+class TestScratchTailVerification:
+    """Speculative candidates are verified in a scratch tail: pool blocks hold
+    committed K/V only, so verification never copies, increfs or writes a
+    block, and the only copy-on-write left is a spliced request's shared
+    tail block."""
+
+    @pytest.mark.parametrize("tree_verify", [False, True])
+    def test_no_copy_on_write_without_prefix_sharing(self, tiny_pipeline, tree_verify):
+        prompts = _prompts(tiny_pipeline, 6)
+        configs = [
+            GenerationConfig.greedy_config(16, tree_verify=tree_verify)
+            if index % 2 == 0
+            else GenerationConfig.sampling_config(0.8, 14, seed=index, tree_verify=tree_verify)
+            for index in range(len(prompts))
+        ]
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=6)
+        for prompt, config in zip(prompts, configs):
+            engine.submit_text(prompt, config)
+        engine.run()
+        assert engine.kv_pool_stats()["cow_events"] == 0
+        assert _pool_drained(engine)
+
+    def test_prefix_hits_copy_at_most_one_block_per_request(self, tiny_pipeline):
+        prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
+        configs = (_mixed_scratch_configs() * 2)[: len(prompts)]
+        cache = PrefixCache(max_tokens=4096)
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS,
+            prefix_cache=cache, max_active_requests=4, max_prefill_tokens_per_step=16,
+        )
+        for prompt, config in zip(prompts, configs):
+            engine.submit_text(prompt, config)
+        engine.run()
+        hits = engine.prefix_cache_stats()["hits"]
+        assert hits > 0
+        # Only a spliced request can find a shared block below its fill
+        # frontier, and only the tail block its splice ends in.
+        assert engine.kv_pool_stats()["cow_events"] <= hits
+        cache.clear()
+        assert _pool_drained(engine)
+
+    def test_refcounts_return_to_zero_after_cancel_and_retirement(self, tiny_pipeline):
+        cache = PrefixCache(max_tokens=4096)
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache, max_active_requests=3,
+        )
+        prompts = _shared_prefix_prompts(tiny_pipeline, 5)
+        configs = _mixed_scratch_configs()
+        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
+        for _ in range(4):
+            engine.step()
+        running = [rid for rid in request_ids if engine.request_status(rid) is RequestStatus.RUNNING]
+        queued = [rid for rid in request_ids if engine.request_status(rid) is RequestStatus.QUEUED]
+        assert running and queued
+        assert engine.cancel(running[0])
+        assert engine.cancel(queued[-1])
+        engine.run()
+        assert engine.result(running[0]).cancelled and engine.result(queued[-1]).cancelled
+        cache.clear()
+        assert _pool_drained(engine)
+
+    @pytest.mark.parametrize("method,strategy", METHODS)
+    def test_served_matches_sequential_generate(self, tiny_pipeline, method, strategy):
+        prompts = _prompts(tiny_pipeline, 8)
+        configs = _mixed_scratch_configs()
+        decoder = tiny_pipeline.decoder_for(method)
+        sequential = [decoder.generate_from_text(p, c) for p, c in zip(prompts, configs)]
+
+        engine = _engine(tiny_pipeline, method, strategy, max_active_requests=8)
+        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
+        results = engine.run()
+
+        for request_id, expected in zip(request_ids, sequential):
+            assert results[request_id].token_ids == expected.token_ids
+        assert _pool_drained(engine)
+
+    def test_pool_at_exact_bound_serves_eight_requests(self, tiny_pipeline):
+        """Sizing charges verification one tail block plus a window's worth
+        of blocks per request — not a copy per candidate — and a pool of
+        exactly that size serves a full, tight batch."""
+        prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
+        configs = _mixed_scratch_configs()
+        ids = [tiny_pipeline.tokenizer.encode(p, add_bos=True) for p in prompts]
+        budget = sum(len(i) + c.max_new_tokens for i, c in zip(ids, configs))
+        block = 16
+
+        def blocks(tokens):
+            return -(-tokens // block)
+
+        def build(pool_blocks=None):
+            return _engine(
+                tiny_pipeline, "ours", DecodingStrategy.OURS,
+                prefix_cache=PrefixCache(max_tokens=512),
+                kv_block_size=block, kv_pool_blocks=pool_blocks,
+                max_active_requests=8, max_batch_tokens=budget,
+            )
+
+        probe = build()
+        window = probe.core.max_speculative_heads + 2
+        bound = blocks(budget) + 8 + 8 * (1 + blocks(window)) + blocks(512) + 8
+        assert probe._pool.num_blocks == bound
+        assert probe._admission_kwargs()["page_overhead_tokens"] == (2 + blocks(window)) * block
+
+        engine = build(pool_blocks=bound)
+        # The second half repeats the first half's prompts once those are
+        # prefilled and retained, so it joins the batch through prefix hits.
+        request_ids = [engine.submit(i, c) for i, c in zip(ids[:4], configs[:4])]
+        while engine.num_prefilling or engine.scheduler.waiting:
+            engine.step()
+        request_ids += [engine.submit(i, c) for i, c in zip(ids[4:], configs[4:])]
+        results = engine.run()  # raises KVPoolExhausted if the bound were short
+        assert all(len(results[rid].token_ids) > 0 for rid in request_ids)
+        assert engine.prefix_cache_stats()["hits"] == 4
+        engine.prefix_cache.clear()
+        assert _pool_drained(engine)
+
+
 class TestPagedEngineChurnFuzz:
     """Random submit/step/cancel churn against a deliberately small pool.
 

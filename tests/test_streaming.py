@@ -12,6 +12,7 @@ deadlines surface as :class:`RequestDeadlineExceeded` on the handle.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -53,6 +54,72 @@ def _engine(pipeline, method, strategy, prefix_cache=None, **scheduler_kwargs):
         scheduler_config=SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None,
         prefix_cache=prefix_cache,
     )
+
+
+class StepGate:
+    """Test-side gate on ``server.engine.step``: one engine step per :meth:`step`.
+
+    The server's step thread calls ``engine.step()`` while holding the
+    server lock.  The gated step releases that lock and parks until the test
+    grants it, so whatever the test does in between — cancel, inspect —
+    lands exactly on a step boundary.  Leaving the ``async with`` block
+    opens the gate, so the server can drain and close.
+    """
+
+    #: Seconds a granted step may take before the test fails instead of hanging.
+    TIMEOUT = 60.0
+
+    def __init__(self, server: AsyncServingEngine) -> None:
+        self._server = server
+        self._real_step = server.engine.step
+        self._grants = threading.Semaphore(0)
+        self._stepped = threading.Semaphore(0)
+        self._open = False
+
+    async def __aenter__(self) -> "StepGate":
+        self._server.engine.step = self._gated_step
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        self.open()
+        del self._server.engine.step
+
+    def open(self) -> None:
+        """Stop gating: a parked step resumes and later steps run freely."""
+        self._open = True
+        self._grants.release()
+
+    def _gated_step(self) -> None:
+        lock = self._server._lock
+        if not self._open:
+            lock.release()
+            try:
+                self._grants.acquire()
+            finally:
+                lock.acquire()
+        try:
+            # A cancel between grants may have left nothing to step.
+            if self._server.engine.has_work:
+                self._real_step()
+        finally:
+            self._stepped.release()
+
+    def _await_step(self) -> None:
+        assert self._stepped.acquire(timeout=self.TIMEOUT), "granted engine step never ran"
+        # The step's events fan out under the server lock: once it is free
+        # again, every burst of the step is queued on its handle.
+        with self._server._lock:
+            pass
+
+    async def step(self) -> None:
+        """Let the step thread run exactly one engine step and fan it out."""
+        self._grants.release()
+        await asyncio.get_running_loop().run_in_executor(None, self._await_step)
+
+    def committed(self, request_id: str) -> int:
+        """Tokens the engine has committed for ``request_id`` so far."""
+        with self._server._lock:
+            return sum(n for _, n in self._server.engine.stream_metrics(request_id)["commit_events"])
 
 
 async def _stream_all(engine, prompts, configs):
@@ -381,27 +448,31 @@ class TestAsyncCancellation:
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
 
         async def run():
-            async with AsyncServingEngine(engine) as server:
+            async with AsyncServingEngine(engine) as server, StepGate(server) as gate:
                 handle = await server.submit_text(
                     _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(500)
                 )
                 collected = []
-                cancelled = False
-                async for burst in handle.stream():
-                    collected.extend(burst)
-                    # Bursts committed before the cancel landed may still
-                    # arrive afterwards; only the first cancel returns True.
-                    if len(collected) >= 4 and not cancelled:
-                        assert handle.cancel()
-                        cancelled = True
+
+                async def consume():
+                    async for burst in handle.stream():
+                        collected.extend(burst)
+
+                consumer = asyncio.create_task(consume())
+                while gate.committed(handle.request_id) < 4:
+                    await gate.step()
+                # Between two steps, mid-decode: the first cancel lands.
+                assert handle.cancel()
+                assert not handle.cancel()
+                await consumer
                 with pytest.raises(RequestCancelled) as info:
                     await handle.result()
                 return collected, info.value
 
         collected, error = asyncio.run(run())
         assert error.partial.cancelled
-        # The stream delivered every committed burst, including any that
-        # landed in the same step the cancel raced with.
+        assert len(collected) >= 4
+        # The stream delivered every committed burst before ending quietly.
         assert collected == error.partial.token_ids[: len(collected)]
         assert error.partial.tokens_generated >= len(collected)
 
@@ -409,7 +480,7 @@ class TestAsyncCancellation:
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
 
         async def run():
-            async with AsyncServingEngine(engine) as server:
+            async with AsyncServingEngine(engine) as server, StepGate(server) as gate:
                 handle = await server.submit_text(
                     _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(500)
                 )
@@ -417,9 +488,15 @@ class TestAsyncCancellation:
                 async def chop():
                     # The cancel comes from outside the handle (an operator
                     # or admission-control path), so the stream must raise.
-                    await asyncio.sleep(0.02)
+                    # Two steps in, the request is mid-decode.
+                    await gate.step()
+                    await gate.step()
                     with server._lock:
-                        server.engine.cancel(handle.request_id)
+                        assert server.engine.cancel(handle.request_id)
+                    # The step thread fans the cancel out either from its
+                    # idle loop or, if it is parked inside its next step
+                    # command, once the open gate lets that command return.
+                    gate.open()
 
                 async def consume():
                     with pytest.raises(RequestCancelled):
@@ -517,11 +594,12 @@ class TestAsyncCancellation:
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
 
         async def run():
-            async with AsyncServingEngine(engine) as server:
+            async with AsyncServingEngine(engine) as server, StepGate(server) as gate:
                 handle = await server.submit_text(
                     _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(500)
                 )
-                await asyncio.sleep(0.02)
+                await gate.step()
+                await gate.step()
                 assert await handle.cancel_async() is True
                 assert await handle.cancel_async() is False  # double-cancel no-op
                 # Own cancel: the stream ends quietly, result raises.
