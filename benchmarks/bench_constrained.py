@@ -13,7 +13,8 @@ headline numbers:
 
 Both properties are hard assertions, not just printed numbers.  The headline
 metrics are also appended to the tracked trend ledger
-(``benchmarks/results/trend.json``, see :mod:`trend`).
+(``benchmarks/results/trend.json``, see :mod:`trend`) when
+``REPRO_BENCH_RECORD=1``.
 """
 
 from __future__ import annotations

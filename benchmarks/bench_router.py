@@ -26,8 +26,9 @@ Assertions:
   single-core host the processes timeshare one core and scaling is
   physically impossible, so the assertion is skipped (loudly).
 
-Results land in ``benchmarks/results/router.json`` and the scaling metrics
-append to the ``trend.json`` ledger.
+Results land in ``benchmarks/results/router.json`` and, when
+``REPRO_BENCH_RECORD=1``, the scaling metrics append to the ``trend.json``
+ledger.
 """
 
 from __future__ import annotations

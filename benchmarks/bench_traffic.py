@@ -24,8 +24,9 @@ Assertions (all on deterministic virtual-time numbers):
   equality — the harness's reproducibility guarantee);
 * the ops dashboard renders the final state headless (pure frame).
 
-The scenario lands in ``traffic.json`` and the headline numbers append to
-the tracked ``trend.json`` ledger under ``traffic_slo``.
+The scenario lands in ``traffic.json`` and, when ``REPRO_BENCH_RECORD=1``,
+the headline numbers append to the tracked ``trend.json`` ledger under
+``traffic_slo``.
 """
 
 from __future__ import annotations

@@ -213,7 +213,6 @@ class VerilogSpecPipeline:
         num_candidates: int = 3,
         scheduler_config=None,
         prefix_cache=None,
-        kv_memory: str = "paged",
         kv_block_size: int = 16,
         kv_pool_blocks=None,
         clock=None,
@@ -232,11 +231,9 @@ class VerilogSpecPipeline:
             prefix_cache: Optional :class:`~repro.serving.PrefixCache`
                 enabling cross-request prompt-prefix reuse (outputs stay
                 token-identical; only prefill work changes).
-            kv_memory: K/V storage mode — ``"paged"`` (default: refcounted
-                block pool with copy-on-write sharing) or ``"row"``
-                (contiguous per-row buffers); see ``docs/kv-memory.md``.
-            kv_block_size: Tokens per physical block in paged mode.
-            kv_pool_blocks: Paged pool capacity in blocks (``None`` sizes it
+            kv_block_size: Tokens per physical block of the K/V pool (see
+                ``docs/kv-memory.md``).
+            kv_pool_blocks: K/V pool capacity in blocks (``None`` sizes it
                 from the scheduler budgets).
             clock: Optional time source for engine timestamps (the traffic
                 harness passes a :class:`~repro.traffic.clock.SimulatedClock`
@@ -256,7 +253,6 @@ class VerilogSpecPipeline:
             num_candidates=num_candidates,
             scheduler_config=scheduler_config,
             prefix_cache=prefix_cache,
-            kv_memory=kv_memory,
             kv_block_size=kv_block_size,
             kv_pool_blocks=kv_pool_blocks,
             clock=clock,

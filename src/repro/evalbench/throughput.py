@@ -68,17 +68,12 @@ class ThroughputReport:
             e.g. the sequential baseline).
         p50_itl / p95_itl: Inter-token latency percentiles in seconds,
             pooled over every request's per-token gap series.
-        kv_memory: Engine K/V storage mode (``"paged"`` or ``"row"``; empty
-            for the sequential baseline, which has no engine).
-        kv_peak_bytes: Peak K/V bytes live at any point in the run —
-            the memory-reduction number the paged-vs-row bench asserts on.
+        kv_peak_bytes: Peak K/V pool bytes resident at any point in the run
+            (0 for the sequential baseline, which has no engine).
         kv_cow_events: Copy-on-write block copies triggered by appends into
-            shared blocks (always 0 in row mode).
+            shared blocks.
         kv_shared_block_ratio: Fraction of in-use pool blocks referenced by
-            more than one block table at measurement time (paged only).
-        kv_prefix_copy_tokens: Prompt-prefix tokens materialised by copying
-            K/V rows on cache hits.  Paged engines alias pages instead, so
-            this stays 0 there — the zero-copy guarantee the bench pins.
+            more than one holder at measurement time.
     """
 
     label: str
@@ -100,11 +95,9 @@ class ThroughputReport:
     p95_ttft: float = 0.0
     p50_itl: float = 0.0
     p95_itl: float = 0.0
-    kv_memory: str = ""
     kv_peak_bytes: int = 0
     kv_cow_events: int = 0
     kv_shared_block_ratio: float = 0.0
-    kv_prefix_copy_tokens: int = 0
 
     @classmethod
     def from_latencies(
@@ -154,11 +147,9 @@ class ThroughputReport:
             "p95_ttft": self.p95_ttft,
             "p50_itl": self.p50_itl,
             "p95_itl": self.p95_itl,
-            "kv_memory": self.kv_memory,
             "kv_peak_bytes": self.kv_peak_bytes,
             "kv_cow_events": self.kv_cow_events,
             "kv_shared_block_ratio": self.kv_shared_block_ratio,
-            "kv_prefix_copy_tokens": self.kv_prefix_copy_tokens,
         }
 
 
@@ -208,11 +199,9 @@ def _finalize_engine_report(
     report.prefix_hit_rate = cache_stats["hit_rate"]
     report.prefill_savings = cache_stats["prefill_savings"]
     pool_stats = engine.kv_pool_stats()
-    report.kv_memory = pool_stats["kv_memory"]
     report.kv_peak_bytes = pool_stats["peak_kv_bytes"]
     report.kv_cow_events = pool_stats["cow_events"]
-    report.kv_shared_block_ratio = pool_stats["shared_block_ratio"] or 0.0
-    report.kv_prefix_copy_tokens = pool_stats["prefix_copy_tokens"]
+    report.kv_shared_block_ratio = pool_stats["shared_block_ratio"]
     ttfts: List[float] = []
     inter_token: List[float] = []
     for request_id in request_ids:

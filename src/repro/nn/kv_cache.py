@@ -7,65 +7,46 @@ is to cache each attention layer's key/value projections for the committed
 prefix, so each step only projects the *new* tokens and attends over the
 cached keys.
 
-:class:`KVCache` owns one :class:`LayerKVCache` per transformer layer.  Two
-workloads are built on top of it:
+:class:`KVCache` owns one :class:`LayerKVCache` per transformer layer and
+stores each row as one contiguous buffer sized for the context window.  It
+has two roles.
 
-**Single-stream speculative decoding** (:mod:`repro.core.decoding`) uses three
-operations beyond plain appending:
+**Storage of sequential speculative decoding** (:mod:`repro.core.decoding`),
+which uses three operations beyond plain appending:
 
 * ``truncate(length)`` — roll the cache back to a committed prefix after
   typical-acceptance and fragment-integrity truncation, so rejected
   speculative tokens never pollute subsequent steps;
 * ``expand_batch(n)`` — tile a batch-1 cache to ``n`` rows so all candidate
   continuations are verified in one batched cached forward;
-* ``keep_row(row)`` — collapse back to the accepted candidate's row.
-
-**Multi-request serving** (:mod:`repro.serving`) keeps one cache row per
-in-flight request.  Requests sit at *different* prefix lengths, so the cache
-is *ragged*: every row carries its own length (``lengths``), appends land at
-per-row offsets, and attention masks each row against its own past.  The
-serving engine drives this through the multi-row generalisations:
-
-* ``repeat_rows(repeats)`` — tile each request row once per speculative
-  candidate (per-row repeat counts, so requests may propose different
-  candidate counts);
-* ``select_rows(rows)`` — gather an arbitrary subset/ordering of rows, used
-  both to keep each request's accepted candidate and to reclaim the rows of
-  completed requests (the multi-row ``keep_row``);
-* ``truncate_rows(lengths)`` — per-row rollback to each request's committed
-  prefix;
-* ``concat(caches)`` — merge freshly prefilled batch-1 caches into the shared
-  cache when the scheduler admits new requests;
-* ``set_append_widths(widths)`` — declare, for the next forward, how many of
-  the incoming window positions are real per row (the rest are right-padding
-  that must not be stored).
-
-**Cross-request prefix reuse** (:mod:`repro.serving.prefix_cache`) retains the
-K/V of recently served prompt prefixes and splices them into the rows of new
-requests, so shared prompt preambles are prefilled once instead of once per
-request.  Two segment operations support it:
-
-* ``gather_prefix(row, length)`` — detach the first ``length`` positions of a
-  row into a standalone :class:`KVSegment` (the unit the prefix cache
-  retains);
-* ``splice_prefix(row, segment)`` — copy a retained segment into a fresh row,
-  so the subsequent prefill forward only covers the prompt suffix.
+* ``keep_row(row)`` — collapse back to the accepted candidate's row
+  (``keep_path`` for an accepted token-tree path).
 
 Cross-attention K/V (encoder-decoder models) is position-independent on the
 decoder side, so each layer slot can additionally hold the projected encoder
 memory, computed once at prefill and reused for every decode step.
 
-**Row vs. paged storage.**  This module stores each row as one contiguous
-buffer sized for the full context window — simple, and the reference
-implementation the rest of the stack is validated against.  The serving
-engine defaults to the *paged* storage in :mod:`repro.nn.kv_pool` instead
-(fixed-size refcounted blocks, copy-on-write prefix sharing), which turns
-this module's copying operations (``splice_prefix``, ``repeat_rows``,
-``compact_rows``, ``select_rows``) into block-table aliasing.  The two are
-token-identical by construction and by test (``tests/test_kv_pool.py``,
-``tests/test_serving.py``); row caches remain the storage of single-stream
-decoding and the token-identity oracle for the paged path.  See
-``docs/kv-memory.md`` for the memory-model comparison.
+**Differential reference for the paged serving cache.**  The serving engine
+stores K/V in the block pool of :mod:`repro.nn.kv_pool`, whose
+:class:`~repro.nn.kv_pool.PagedKVCache` exposes the same ragged multi-row
+interface this class implements over contiguous buffers: every row carries
+its own length (``lengths``), appends land at per-row offsets, and
+
+* ``repeat_rows(repeats)`` tiles each row once per speculative candidate;
+* ``select_rows(rows)`` / ``truncate_rows(lengths)`` keep a subset of rows
+  and roll each back to its own committed prefix;
+* ``compact_rows`` / ``compact_paths`` fuse those into one per-step
+  compaction to each request's accepted row or tree path;
+* ``concat(caches)`` merges freshly prefilled batch-1 caches into one;
+* ``set_append_widths(widths)`` declares, for the next forward, how many of
+  the incoming window positions are real per row;
+* ``gather_prefix`` / ``splice_prefix`` copy a row prefix out into a
+  :class:`KVSegment` and back into a fresh row.
+
+``tests/test_kv_pool.py`` drives both implementations through the same
+operation sequences and requires identical attention outputs, so any paged
+bookkeeping error shows up as a divergence from these plain copies.  See
+``docs/kv-memory.md`` for the memory model.
 """
 
 from __future__ import annotations
@@ -81,7 +62,7 @@ class LayerKVCache:
     Self-attention keys/values are stored pre-split by head with shape
     ``(batch, num_heads, capacity, head_dim)``.  Each batch row ``r`` is
     filled in place up to ``lengths[r]`` — rows may hold prefixes of
-    different lengths (ragged batching, used by the serving engine).
+    different lengths (ragged batching).
     Cross-attention keys/values (optional) are stored whole, since the
     encoder memory never grows.
     """
@@ -93,7 +74,7 @@ class LayerKVCache:
         self.v = np.zeros((batch, num_heads, capacity, head_dim), dtype=np.float32)
         self.cross_k: Optional[np.ndarray] = None
         self.cross_v: Optional[np.ndarray] = None
-        #: Per-row append widths for the next :meth:`append` (ragged serving
+        #: Per-row append widths for the next :meth:`append` (ragged batched
         #: steps); ``None`` means every incoming position is real.
         self.append_widths: Optional[np.ndarray] = None
 
@@ -158,11 +139,10 @@ class LayerKVCache:
 class KVSegment:
     """Detached per-layer K/V copy of one cache row's prefix.
 
-    The unit of storage of the cross-request prefix cache
-    (:mod:`repro.serving.prefix_cache`): the keys/values a row computed for a
-    prompt prefix, gathered out of the live cache with
-    :meth:`KVCache.gather_prefix` and spliced into a fresh row with
-    :meth:`KVCache.splice_prefix`.  Because causal attention makes position
+    The copying counterpart of :class:`~repro.nn.kv_pool.PagedPrefix`: the
+    keys/values a row computed for a prompt prefix, gathered out of the live
+    cache with :meth:`KVCache.gather_prefix` and spliced into a fresh row
+    with :meth:`KVCache.splice_prefix`.  Because causal attention makes position
     ``i``'s K/V depend only on tokens ``0..i``, a segment gathered for one
     prompt is byte-for-byte what any other prompt sharing that prefix would
     compute — reuse is a pure compute-layout change.
@@ -205,9 +185,8 @@ class KVSegment:
     def head(self, length: int) -> "KVSegment":
         """A view of the segment's first ``length`` positions (no copy).
 
-        The prefix cache serves partial matches with this: an entry retained
-        for prompt ``A`` answers a lookup for prompt ``B`` sharing only the
-        first ``length`` tokens.  Views are safe because consumers only ever
+        A prefix retained for prompt ``A`` serves prompt ``B`` sharing only
+        the first ``length`` tokens this way.  Views are safe because consumers only ever
         read a segment (:meth:`KVCache.splice_prefix` copies).
         """
         if not 0 <= length <= self.length:
@@ -236,7 +215,7 @@ class KVCache:
         """Longest cached prefix across rows (identical across layers).
 
         For the uniform caches used by single-stream decoding every row has
-        this length; ragged serving caches expose per-row lengths via
+        this length; ragged caches expose per-row lengths via
         :attr:`lengths`.
         """
         return self.layers[0].length
@@ -264,9 +243,7 @@ class KVCache:
         """Allocated K/V buffer storage (all layers, full capacity, plus cross K/V).
 
         This is *reserved* memory — ``batch x capacity`` positions per layer
-        whatever the rows actually hold — which is exactly the number the
-        paged pool's ``peak_kv_bytes`` is compared against in the
-        shared-prefix memory bench.
+        whatever the rows actually hold.
         """
         total = sum(layer.k.nbytes + layer.v.nbytes for layer in self.layers)
         for layer in self.layers:
@@ -278,15 +255,13 @@ class KVCache:
         """No-op, for call-site symmetry with :meth:`PagedKVCache.release`.
 
         Row caches free their storage through garbage collection; paged
-        caches must drop pool block references explicitly.  The serving
-        engine releases every superseded cache generation unconditionally so
-        its step logic is identical across both memory modes.
+        caches must drop pool block references explicitly.
         """
 
     def set_append_widths(self, widths: Optional[Sequence[int]]) -> None:
         """Declare per-row real-token widths for the next incremental forward.
 
-        The serving engine right-pads every request's candidate window to a
+        A batched step right-pads every request's candidate window to a
         common width so one batched forward covers all requests; ``widths``
         tells each layer's :meth:`LayerKVCache.append` how many of those
         window positions actually belong to each row.  Pass ``None`` to clear
@@ -356,8 +331,8 @@ class KVCache:
         leaf order) to sit contiguously right after ``prefix_len`` and rolls
         the length back to ``prefix_len + len(node_positions)`` — the tree
         analogue of ``keep_row`` + ``truncate`` for row-batched verification.
-        Requires a batch-1 cache (single-stream decoding); the serving engine
-        uses :meth:`compact_paths` instead.
+        Requires a batch-1 cache (single-stream decoding); ragged batches use
+        :meth:`compact_paths` instead.
         """
         if self.batch != 1:
             raise ValueError(f"keep_path requires a batch-1 cache, got batch {self.batch}")
@@ -383,10 +358,8 @@ class KVCache:
     def gather_prefix(self, row: int, length: int) -> KVSegment:
         """Detach the first ``length`` cached positions of ``row`` into a segment.
 
-        The serving engine gathers a request's prompt-prefix K/V out of its
-        freshly prefilled row so the prefix cache can retain it after the row
-        itself is merged, compacted and eventually reclaimed.  The segment is
-        a copy — it stays valid however the source cache is reshaped later.
+        The segment is a copy — it stays valid however the source cache is
+        reshaped later.
         """
         if not 0 <= row < self.batch:
             raise IndexError(f"row {row} out of range for batch {self.batch}")
@@ -402,12 +375,10 @@ class KVCache:
         )
 
     def snapshot_prefix(self, row: int, length: int) -> KVSegment:
-        """The retention-unit snapshot of a row prefix — a copy, for row caches.
+        """Snapshot of a row prefix — a copy (:meth:`gather_prefix`).
 
-        Mode-neutral alias the serving engine calls when retaining a prompt's
-        K/V: row caches copy the positions out (:meth:`gather_prefix`), paged
-        caches return a refcounted block reference
-        (:meth:`PagedKVCache.snapshot_prefix`) without copying anything.
+        Mirrors :meth:`PagedKVCache.snapshot_prefix`, which returns a
+        refcounted block reference instead of copying.
         """
         return self.gather_prefix(row, length)
 
@@ -423,8 +394,7 @@ class KVCache:
         if not isinstance(segment, KVSegment):
             raise TypeError(
                 f"row caches splice KVSegment copies, got {type(segment).__name__}; "
-                f"a PrefixCache mixes paged and row segments only if it is shared between "
-                f"engines with different kv_memory modes — give each mode its own cache"
+                f"PagedPrefix references splice into PagedKVCache"
             )
         if not 0 <= row < self.batch:
             raise IndexError(f"row {row} out of range for batch {self.batch}")
@@ -447,12 +417,12 @@ class KVCache:
             layer.v[row, :, : segment.length] = v_seg
             layer.lengths[row] = segment.length
 
-    # -- multi-request serving operations -------------------------------------
+    # -- ragged multi-row operations -------------------------------------------
 
     def select_rows(self, rows: Sequence[int]) -> None:
         """Gather an arbitrary subset/ordering of rows, in place.
 
-        The multi-row generalisation of :meth:`keep_row`: the serving engine
+        The multi-row generalisation of :meth:`keep_row`: a batched step
         uses it to keep each request's accepted candidate row out of the
         expanded verification batch and to reclaim the rows of completed or
         evicted requests.  Rows may be repeated or dropped; each surviving
@@ -485,7 +455,7 @@ class KVCache:
         """Roll each row back to its own committed prefix length.
 
         The per-row generalisation of :meth:`truncate`, used after a batched
-        serving step to discard every request's rejected speculative tokens
+        step to discard every request's rejected speculative tokens
         at once.  Entries longer than a row's current length are no-ops.
         """
         target = np.asarray(lengths, dtype=np.int64)
@@ -545,8 +515,8 @@ class KVCache:
 
         Fuses :meth:`select_rows` + :meth:`truncate_rows` into one copy that
         moves only each row's committed prefix — the per-step compaction of
-        the serving engine (keep each request's accepted candidate row, drop
-        its rejected speculative tail).  ``capacity`` restores a full-size
+        a batched step (keep each request's accepted candidate row, drop its
+        rejected speculative tail).  ``capacity`` restores a full-size
         cache when compacting out of a trimmed step cache.
         """
         rows = list(rows)
@@ -587,8 +557,8 @@ class KVCache:
     ) -> "KVCache":
         """Gather per-row accepted tree paths into a new compacted cache.
 
-        The multi-request generalisation of :meth:`keep_path`: after the
-        serving engine verifies one token tree per request inside the shared
+        The multi-request generalisation of :meth:`keep_path`: after a
+        batched step verifies one token tree per request inside the shared
         forward, new row ``i`` of the result is source row ``rows[i]``'s
         committed prefix (``prefixes[i]`` positions) followed by the K/V of
         the accepted path's tree nodes (window positions ``paths[i]``, in
@@ -645,9 +615,8 @@ class KVCache:
     def concat(cls, caches: Sequence["KVCache"]) -> "KVCache":
         """Stack the rows of several same-geometry caches into one batched cache.
 
-        The serving engine prefills each newly admitted request into its own
-        batch-1 cache and then merges it into the shared per-request cache
-        with ``concat``.  All caches must agree on layer count, head geometry
+        Merges freshly prefilled batch-1 caches into one shared per-request
+        cache.  All caches must agree on layer count, head geometry
         and capacity; rows keep their own lengths (the result is ragged).
         """
         if not caches:
@@ -661,8 +630,8 @@ class KVCache:
             )
             if not same:
                 raise ValueError("concat requires caches with identical layer/head geometry")
-        # Capacities may differ (the serving engine keeps its persistent cache
-        # trimmed between steps); the merged cache takes the largest.
+        # Capacities may differ (a persistent cache may be trimmed between
+        # steps); the merged cache takes the largest.
         capacity = max(cache.capacity for cache in caches)
         total = sum(cache.batch for cache in caches)
         out = cls(first.num_layers, first.num_heads, first.head_dim, capacity, batch=0)

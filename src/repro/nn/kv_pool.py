@@ -1,7 +1,7 @@
 """Paged attention K/V memory: a refcounted block pool with scratch-tail verification.
 
 :class:`~repro.nn.kv_cache.KVCache` gives every request one contiguous row
-sized for the full context window.  That layout is simple but pays for it
+sized for the full context window.  That layout is simple but would pay for it
 three ways at serving time:
 
 * **reservation fragmentation** — a row's buffer is allocated for
@@ -54,8 +54,7 @@ block after the prefix cache pinned it; the one copy left is a spliced
 request's first write into a tail block whose frontier another writer
 already advanced (:meth:`PagedKVCache._ensure_writable`).  The pool counts
 these (``cow_events``) along with its high-water mark
-(``peak_blocks_in_use``), which is what the shared-prefix memory bench
-compares against the row path's allocated bytes.
+(``peak_blocks_in_use``, reported as ``peak_kv_bytes``).
 
 The attention read path is a **block-granular gather**: each forward builds
 one padded ``(rows, blocks)`` table array, and every layer takes whole
@@ -66,8 +65,9 @@ unchanged over paged or row storage.  Positions past a row's own length may
 surface stale-but-finite block contents, exactly like the row cache's stale
 tail slots; the causal mask (or the caller's ``attn_bias``) pins their scores
 to ``-1e9``, whose softmax weight underflows to exactly ``0.0``, so stale
-storage can never leak into an output — the engine's paged/row
-token-identity tests pin this down.
+storage can never leak into an output — the paged-vs-row differential
+tests (``tests/test_kv_pool.py``) and the engine's token-identity tests
+against sequential decoding pin this down.
 
 Exhaustion is explicit: :meth:`KVBlockPool.alloc` first invokes the
 ``on_pressure`` callback (the serving engine evicts prefix-cache retention,
@@ -504,10 +504,10 @@ class PagedLayerKV:
 class PagedKVCache:
     """A batch of sequences over one :class:`KVBlockPool`: block tables + lengths.
 
-    The paged drop-in for the serving engine's use of
-    :class:`~repro.nn.kv_cache.KVCache`: the same batched/ragged surface
+    The serving engine's K/V cache.  It exposes the batched/ragged surface
+    of :class:`~repro.nn.kv_cache.KVCache`, its differential reference
     (``lengths``, ``append_widths``, ``layers`` for the forward, and the
-    multi-row serving operations), but rows are block tables into shared pool
+    multi-row operations), but rows are block tables into shared pool
     storage — see the module docstring for the mapping.
 
     A cache either **owns** its tables — every entry holds one pool
@@ -1054,8 +1054,7 @@ class PagedKVCache:
         if not isinstance(prefix, PagedPrefix):
             raise TypeError(
                 f"paged caches splice PagedPrefix references, got {type(prefix).__name__}; "
-                f"a PrefixCache mixes paged and row segments only if it is shared between "
-                f"engines with different kv_memory modes — give each mode its own cache"
+                f"KVSegment copies splice into the row KVCache"
             )
         if prefix.pool is not self.pool:
             raise ValueError("prefix and cache belong to different KVBlockPools")

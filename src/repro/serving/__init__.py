@@ -16,9 +16,7 @@ throughput-oriented engine:
 * :mod:`repro.serving.engine` — :class:`ServingEngine`, which steps every
   in-flight request through one shared batched forward per iteration and is
   token-identical to sequential :meth:`SpeculativeDecoder.generate`.  K/V
-  memory defaults to the paged block pool of :mod:`repro.nn.kv_pool`
-  (``kv_memory="paged"``), with the contiguous row cache
-  (``kv_memory="row"``) kept as the reference oracle — see
+  memory is the paged block pool of :mod:`repro.nn.kv_pool` — see
   ``docs/kv-memory.md``;
 * :mod:`repro.serving.server` — :class:`AsyncServingEngine`, the asyncio
   streaming front-end: per-request :class:`StreamHandle` with

@@ -8,10 +8,10 @@ and every engine step:
 
 1. **admits** queued requests the :class:`~repro.serving.scheduler.Scheduler`
    lets in, prefilling each prompt once and merging the new row into the
-   shared cache (``KVCache.concat``).  With a
+   shared cache (``PagedKVCache.concat``).  With a
    :class:`~repro.serving.prefix_cache.PrefixCache` attached, the longest
    retained prefix of the prompt is spliced into the fresh row
-   (``KVCache.splice_prefix``) and only the suffix is prefilled; with
+   (``PagedKVCache.splice_prefix``) and only the suffix is prefilled; with
    ``SchedulerConfig.max_prefill_tokens_per_step`` set, that prefill is
    paced in fixed-token chunks interleaved with decode steps (requests wait
    in the ``PREFILLING`` status) so long prompts never stall the in-flight
@@ -40,15 +40,13 @@ message-driven :class:`~repro.serving.control.EngineControl`, which is how a
 fronts share one core, the router with one worker is token-identical to this
 class, which is token-identical to sequential
 :meth:`SpeculativeDecoder.generate` per prompt (``tests/test_serving.py``
-asserts the latter for all three strategies with 8 concurrent requests, in
-both K/V memory modes; ``tests/test_router.py`` asserts the former).
+asserts the latter for all three strategies with 8 concurrent requests;
+``tests/test_router.py`` asserts the former).
 
-**K/V memory** comes in two interchangeable flavours (``kv_memory``, see
-``docs/kv-memory.md``): ``"paged"`` (the default; block tables over one
-shared refcounted pool, zero-copy sharing with copy-on-write) and ``"row"``
-(contiguous per-row buffers, the token-identity reference oracle).
-:meth:`kv_pool_stats` reports occupancy, sharing and copy-on-write counters
-either way.
+**K/V memory** is the paged block pool of :mod:`repro.nn.kv_pool` (see
+``docs/kv-memory.md``): block tables over one shared refcounted pool,
+zero-copy prefix sharing with copy-on-write.  :meth:`kv_pool_stats` reports
+its occupancy, sharing and copy-on-write counters.
 
 Requests can be **cancelled** (:meth:`cancel`) or given a **deadline** at
 submission; both free the request's scheduler budget, prefix-cache retention
@@ -100,14 +98,10 @@ class ServingEngine:
             admission reuses the longest retained prompt prefix instead of
             re-prefilling it, and every completed prefill is retained for
             later requests.  ``None`` (the default) disables reuse.
-        kv_memory: K/V storage mode — ``"paged"`` (the default; block tables
-            over one shared refcounted pool, zero-copy sharing with
-            copy-on-write) or ``"row"`` (contiguous per-row buffers, the
-            reference oracle).  Outputs are token-identical either way.
-        kv_block_size: Tokens per physical block in paged mode.  Smaller
+        kv_block_size: Tokens per physical block of the K/V pool.  Smaller
             blocks waste less capacity on partially-filled tails but cost
             more table indirection per gather.
-        kv_pool_blocks: Total physical blocks in the paged pool.  ``None``
+        kv_pool_blocks: Total physical blocks in the K/V pool.  ``None``
             sizes it from the scheduler budgets (worst-case committed
             context + speculative verification transient + prefix-cache
             retention); see :meth:`EngineCore._default_pool_blocks`.
@@ -129,7 +123,6 @@ class ServingEngine:
         max_speculative_heads: Optional[int] = None,
         scheduler_config: Optional[SchedulerConfig] = None,
         prefix_cache: Optional[PrefixCache] = None,
-        kv_memory: str = "paged",
         kv_block_size: int = 16,
         kv_pool_blocks: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -143,7 +136,6 @@ class ServingEngine:
             max_speculative_heads=max_speculative_heads,
             scheduler_config=scheduler_config,
             prefix_cache=prefix_cache,
-            kv_memory=kv_memory,
             kv_block_size=kv_block_size,
             kv_pool_blocks=kv_pool_blocks,
             on_finish=self._on_core_finish,
@@ -194,10 +186,6 @@ class ServingEngine:
         return self.core.prefix_cache
 
     @property
-    def kv_memory(self) -> str:
-        return self.core.kv_memory
-
-    @property
     def max_seq_len(self) -> int:
         return self.core.max_seq_len
 
@@ -224,10 +212,6 @@ class ServingEngine:
         return self.core._deadlined
 
     @property
-    def prefix_copy_tokens(self) -> int:
-        return self.core.prefix_copy_tokens
-
-    @property
     def tokens_prefilled_total(self) -> int:
         return self.core.tokens_prefilled_total
 
@@ -247,7 +231,7 @@ class ServingEngine:
         return self.core._admission_kwargs()
 
     def kv_pool_stats(self) -> dict:
-        """K/V memory counters, uniform across both modes (see :meth:`EngineCore.kv_pool_stats`)."""
+        """K/V pool counters (see :meth:`EngineCore.kv_pool_stats`)."""
         return self.core.kv_pool_stats()
 
     # ------------------------------------------------------------------ #

@@ -21,7 +21,7 @@ The step pipeline and its invariants are unchanged from the fused engine
 (see ``docs/serving.md``): every row of the shared batched forward computes
 exactly what a batch-1 forward over that row would compute, so committed
 tokens are identical to sequential :meth:`SpeculativeDecoder.generate`
-regardless of batching, chunking, prefix reuse or K/V memory mode.
+regardless of batching, chunking or prefix reuse.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.core.token_tree import (
     tree_position_offsets,
 )
 from repro.models.medusa import MedusaLM
-from repro.nn.kv_cache import KVCache
 from repro.nn.kv_pool import KVBlockPool, PagedKVCache
 from repro.serving.prefix_cache import PrefixCache
 from repro.serving.request import RequestState, RequestStatus, derive_request_rng
@@ -74,11 +73,9 @@ class EngineCore:
         max_speculative_heads: Cap on the Medusa heads used for speculation.
         scheduler_config: Admission/fairness knobs.
         prefix_cache: Optional cross-request prefix cache.
-        kv_memory: ``"paged"`` (block pool, the default) or ``"row"``
-            (contiguous buffers, the token-identity oracle).
-        kv_block_size: Tokens per physical block in paged mode.
-        kv_pool_blocks: Paged pool capacity (``None`` sizes it from the
-            scheduler budgets).
+        kv_block_size: Tokens per physical block of the K/V pool.
+        kv_pool_blocks: K/V pool capacity in blocks (``None`` sizes it from
+            the scheduler budgets).
         on_finish: Called once per request as it leaves the core —
             ``on_finish(state, result)`` — with the frozen result.  The core
             itself retains nothing, which is what bounds a long-lived
@@ -103,7 +100,6 @@ class EngineCore:
         max_speculative_heads: Optional[int] = None,
         scheduler_config: Optional[SchedulerConfig] = None,
         prefix_cache: Optional[PrefixCache] = None,
-        kv_memory: str = "paged",
         kv_block_size: int = 16,
         kv_pool_blocks: Optional[int] = None,
         on_finish: Optional[Callable[[RequestState, DecodeResult], None]] = None,
@@ -129,27 +125,14 @@ class EngineCore:
         self.on_finish = on_finish or (lambda state, result: None)
         #: Every timestamp the core produces flows through this callable.
         self.clock: Callable[[], float] = clock or time.perf_counter
-        if kv_memory not in ("paged", "row"):
-            raise ValueError(f"kv_memory must be 'paged' or 'row', got {kv_memory!r}")
-        self.kv_memory = kv_memory
-        self._pool: Optional[KVBlockPool] = None
-        if kv_memory == "paged":
-            self._pool = model.new_block_pool(
-                block_size=kv_block_size,
-                num_blocks=kv_pool_blocks or self._default_pool_blocks(kv_block_size),
-            )
-            # Last-resort reclaim before the pool raises KVPoolExhausted:
-            # drop retained prefix-cache entries so their unshared blocks
-            # return to the free list mid-allocation.
-            self._pool.on_pressure = self._reclaim_pages
-        #: Prompt tokens physically copied into cache rows by prefix-cache
-        #: splices.  Row mode copies every reused position; paged mode
-        #: aliases blocks, so this stays 0 — the zero-copy assertion the
-        #: serving tests pin down.
-        self.prefix_copy_tokens = 0
-        #: Row-mode peak of summed live cache bytes (the paged pool tracks
-        #: its own physical peak; see :meth:`kv_pool_stats`).
-        self._kv_bytes_peak = 0
+        self._pool: KVBlockPool = model.new_block_pool(
+            block_size=kv_block_size,
+            num_blocks=kv_pool_blocks or self._default_pool_blocks(kv_block_size),
+        )
+        # Last-resort reclaim before the pool raises KVPoolExhausted: drop
+        # retained prefix-cache entries so their unshared blocks return to
+        # the free list mid-allocation.
+        self._pool.on_pressure = self._reclaim_pages
         if prefix_cache is not None:
             # Retained K/V is model-specific; binding rejects accidentally
             # sharing one cache across engines that wrap different models.
@@ -168,9 +151,8 @@ class EngineCore:
         self.eos_id = vocab.eos_id
         self.bos_id = vocab.bos_id
         self.max_seq_len = model.backbone.max_seq_len
-        #: Shared ragged cache (``KVCache`` or ``PagedKVCache`` per
-        #: ``kv_memory``): one row per entry of ``_active`` (same order).
-        self._cache = None
+        #: Shared ragged cache: one row per entry of ``_active`` (same order).
+        self._cache: Optional[PagedKVCache] = None
         self._active: List[RequestState] = []
         #: Admitted requests whose prompts are still entering their private
         #: batch-1 caches (chunked prefill); FCFS order.
@@ -183,7 +165,7 @@ class EngineCore:
     # ------------------------------------------------------------------ #
 
     def _default_pool_blocks(self, block_size: int) -> int:
-        """Size the paged pool from the scheduler budgets.
+        """Size the K/V pool from the scheduler budgets.
 
         Worst-case committed context (the scheduler's token budget, plus one
         partially-filled tail block per request), plus what a speculative
@@ -233,8 +215,6 @@ class EngineCore:
         into :class:`~repro.nn.kv_pool.KVPoolExhausted` once both requests
         reach their peak.
         """
-        if self._pool is None:
-            return {}
         block_size = self._pool.block_size
         window = self.max_speculative_heads + 2
         overhead_blocks = 2 + -(-window // block_size)
@@ -251,77 +231,18 @@ class EngineCore:
             "page_overhead_tokens": overhead_tokens,
         }
 
-    def free_kv_tokens(self) -> Optional[int]:
-        """Unreserved page capacity in tokens (``None`` in row mode).
+    def free_kv_tokens(self) -> int:
+        """Unreserved page capacity in tokens.
 
         The backpressure number a worker reports to its router: how many
         prompt+output tokens new admissions could claim right now without
         deferral.
         """
-        if self._pool is None:
-            return None
         return self._admission_kwargs()["free_page_tokens"]
 
-    def _new_row_cache(self):
-        """Fresh single-row cache for a prefilling request, in the core's mode."""
-        if self._pool is not None:
-            return PagedKVCache(self._pool, batch=1)
-        return self.model.new_cache()
-
-    def _concat(self, caches):
-        """Merge caches into one shared batch, dispatching on the memory mode."""
-        if self._pool is not None:
-            return PagedKVCache.concat(caches)
-        return KVCache.concat(caches)
-
-    def _note_kv_bytes(self, extra: int = 0) -> None:
-        """Track row-mode peak K/V bytes (paged mode: the pool tracks itself)."""
-        if self._pool is not None:
-            return
-        total = extra + self._row_kv_bytes()
-        if total > self._kv_bytes_peak:
-            self._kv_bytes_peak = total
-
-    def _row_kv_bytes(self) -> int:
-        total = self._cache.nbytes if self._cache is not None else 0
-        for state in self._prefilling:
-            if state.row_cache is not None:
-                total += state.row_cache.nbytes
-        return total
-
     def kv_pool_stats(self) -> dict:
-        """K/V memory counters of this core, uniform across both modes.
-
-        Paged mode reports the pool's physical truth — block occupancy,
-        cross-row sharing, copy-on-write events, peak blocks ever resident —
-        plus ``prefix_copy_tokens`` (always 0: prefix hits alias pages).
-        Row mode reports the same keys with block fields ``None``/0, byte
-        fields from the core-tracked sum of live contiguous buffers
-        (*reserved* capacity, which is what row mode actually allocates),
-        and ``prefix_copy_tokens`` counting every spliced position.  The
-        shared-prefix memory bench compares ``peak_kv_bytes`` across modes.
-        """
-        if self._pool is not None:
-            stats = self._pool.stats()
-            stats["kv_memory"] = "paged"
-            stats["prefix_copy_tokens"] = self.prefix_copy_tokens
-            return stats
-        in_use = self._row_kv_bytes()
-        self._kv_bytes_peak = max(self._kv_bytes_peak, in_use)
-        return {
-            "kv_memory": "row",
-            "block_size": None,
-            "num_blocks": None,
-            "blocks_in_use": None,
-            "blocks_free": None,
-            "occupancy": None,
-            "shared_blocks": 0,
-            "shared_block_ratio": 0.0,
-            "cow_events": 0,
-            "kv_bytes_in_use": in_use,
-            "peak_kv_bytes": self._kv_bytes_peak,
-            "prefix_copy_tokens": self.prefix_copy_tokens,
-        }
+        """K/V pool counters: occupancy, sharing, copy-on-write, peak bytes."""
+        return self._pool.stats()
 
     # ------------------------------------------------------------------ #
     # Intake
@@ -402,9 +323,9 @@ class EngineCore:
             self._prefilling.remove(state)
         self.scheduler.remove(state)
         # Dropping the private row releases the prefill K/V computed so far,
-        # including any prefix-cache segment spliced in at admission; in
-        # paged mode the explicit release returns its block refs to the pool
-        # immediately (pages free now, not at garbage collection).
+        # including any prefix-cache segment spliced in at admission; the
+        # explicit release returns its block refs to the pool immediately
+        # (pages free now, not at garbage collection).
         if state.row_cache is not None:
             state.row_cache.release()
         state.row_cache = None
@@ -436,17 +357,16 @@ class EngineCore:
         Each admitted request gets a fresh batch-1 cache row.  With a prefix
         cache attached, the longest retained prefix of the prompt (capped at
         ``prompt_len - 1`` so the suffix forward always produces the
-        last-position logits that seed decoding) is spliced in — a zero-copy
-        block-table alias in paged mode, a per-layer copy in row mode; the
-        request then only prefills its suffix.
+        last-position logits that seed decoding) is spliced in as a zero-copy
+        block-table alias; the request then only prefills its suffix.
 
-        In paged mode admission is additionally gated on the pool's free
+        Admission is additionally gated on the pool's free
         pages (:meth:`_admission_kwargs`); before asking the scheduler, the
         head-of-queue request pre-evicts retained prefix entries while it
         would not fit, so retention never starves admission.
         """
         kwargs = self._admission_kwargs()
-        if self._pool is not None and self.prefix_cache is not None and self.scheduler.waiting:
+        if self.prefix_cache is not None and self.scheduler.waiting:
             head = self.scheduler.waiting[0]
             needed = head.request.footprint_tokens + kwargs["page_overhead_tokens"]
             while kwargs["free_page_tokens"] < needed and self.prefix_cache.evict_lru():
@@ -462,16 +382,12 @@ class EngineCore:
                 # empty output, exactly like sequential generate.
                 self._finish(state)
                 continue
-            state.row_cache = self._new_row_cache()
+            state.row_cache = PagedKVCache(self._pool, batch=1)
             state.rng = derive_request_rng(state.request)
             if self.prefix_cache is not None:
                 matched, segment = self.prefix_cache.lookup(prompt, limit=len(prompt) - 1)
                 if matched:
                     state.row_cache.splice_prefix(0, segment)
-                    if self._pool is None:
-                        # Row mode physically copies the reused positions;
-                        # paged splices alias blocks and charge nothing here.
-                        self.prefix_copy_tokens += matched
                     state.prefill_pos = matched
                     state.tokens_reused = matched
                     self.tokens_reused_total += matched
@@ -529,24 +445,20 @@ class EngineCore:
             else:
                 still_prefilling.append(state)
         self._prefilling = still_prefilling
-        self._note_kv_bytes()
         if not ready:
             return
         new_caches: List = []
         for state in ready:
             prompt = state.request.prompt_ids
             if self.prefix_cache is not None and self.prefix_cache.would_retain(prompt):
-                # snapshot_prefix is the mode-neutral retention hook: a
-                # per-layer copy (KVSegment) in row mode, a refcounted block
-                # pin (PagedPrefix, zero-copy) in paged mode.
+                # Retention pins the prompt's blocks by refcount (zero-copy).
                 self.prefix_cache.insert(prompt, state.row_cache.snapshot_prefix(0, len(prompt)))
             state.status = RequestStatus.RUNNING
             new_caches.append(state.row_cache)
             state.row_cache = None
             self._active.append(state)
         existing = [self._cache] if self._cache is not None and self._cache.batch > 0 else []
-        self._cache = self._concat(existing + new_caches)
-        self._note_kv_bytes()
+        self._cache = PagedKVCache.concat(existing + new_caches)
 
     # -- NTP: one committed token per request per step ------------------- #
 
@@ -648,7 +560,6 @@ class EngineCore:
         # zeroing) full max_seq_len buffers every iteration.
         step_capacity = int(self._cache.length) + window
         step_cache = self._cache.repeat_rows(counts, capacity=step_capacity)
-        self._note_kv_bytes(extra=step_cache.nbytes)
         row_widths = np.repeat(np.asarray(request_widths, dtype=np.int64), counts)
         step_cache.set_append_widths(row_widths)
         try:
@@ -733,9 +644,9 @@ class EngineCore:
             state.last_heads = [h[index] for h in head_logits]
 
         # Compact: accepted candidate row per request, rolled back to its
-        # committed prefix (one fused copy in row mode; in paged mode the
-        # accepted tokens are written into the request's own blocks and its
-        # table moves over, consuming the old shared cache); then release
+        # committed prefix (the accepted tokens are written into the
+        # request's own blocks and its table moves over, consuming the old
+        # shared cache); then release
         # the transient tiling and the old shared cache (no-ops once
         # consumed) and reclaim the rows of finished requests.
         new_cache = step_cache.compact_rows(keep_rows, committed_lengths)
@@ -759,7 +670,7 @@ class EngineCore:
         the row's committed prefix, with a per-row tree attention bias and
         per-node position offsets.  After acceptance, the cache is compacted
         to each request's accepted root-to-leaf path
-        (:meth:`~repro.nn.kv_cache.KVCache.compact_paths`).  Committed tokens
+        (:meth:`~repro.nn.kv_pool.PagedKVCache.compact_paths`).  Committed tokens
         are identical to the row-batched step and to sequential generate.
         """
         trees = [
@@ -773,7 +684,6 @@ class EngineCore:
         # One row per request; the step cache lives only for this forward, so
         # trim its capacity to the step's maximum extent.
         step_cache = self._cache.repeat_rows(1, capacity=view)
-        self._note_kv_bytes(extra=step_cache.nbytes)
         tokens = pad_tree_tokens(trees, window)
         bias = tree_bias_cached(trees, prefixes, window, view)
         offsets = tree_position_offsets(trees, window)
@@ -856,9 +766,9 @@ class EngineCore:
         for index, state in enumerate(active):
             state.last_heads = [h[index] for h in head_logits]
 
-        # Compact every row to its committed prefix + accepted path (one
-        # fused copy of the path tokens; paged mode writes them into the
-        # request's own blocks and moves its table over); then release the
+        # Compact every row to its committed prefix + accepted path (the path
+        # tokens are written into the request's own blocks and its table
+        # moves over); then release the
         # transient step cache and the old shared cache (no-ops once
         # consumed) and reclaim the rows of finished requests.
         new_cache = step_cache.compact_paths(list(range(len(active))), prefixes, paths)

@@ -1,7 +1,7 @@
 """Unit tests for the paged K/V block pool (refcounts, COW, table ops).
 
-Engine-level behaviour — paged/row token identity across decode modes, the
-zero-copy prefix counter, page-gated admission — lives in
+Engine-level behaviour — token identity with sequential decoding across
+decode modes, zero-copy prefix aliasing, page-gated admission — lives in
 ``tests/test_serving.py``.  This file pins down the storage layer itself:
 :class:`~repro.nn.kv_pool.KVBlockPool` allocation and refcounting,
 :class:`~repro.nn.kv_pool.PagedKVCache` table operations against the row

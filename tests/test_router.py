@@ -94,6 +94,21 @@ def _router(pipeline, method, strategy, num_workers=1, config=None, **factory_kw
     return Router(_engine_factory(pipeline, method, strategy, **factory_kwargs), config=config)
 
 
+def _pump_until_mid_stream(router, request_ids, worker_index, timeout=120.0):
+    """Poll until ``worker_index`` has delivered tokens of a request it has not finished.
+
+    Crash tests kill that worker right after, so the kill lands mid-stream
+    however fast or slow the worker processes run.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        router.poll()
+        records = [router.request_record(request_id) for request_id in request_ids]
+        if any(r.worker_index == worker_index and r.tokens and not r.done for r in records):
+            return
+    pytest.fail(f"worker {worker_index} never delivered part of an unfinished request")
+
+
 def _prompt_ids(pipeline, count):
     prompts = [example.prompt_text() for example in pipeline.examples]
     prompts = (prompts * (count // max(len(prompts), 1) + 1))[:count]
@@ -163,7 +178,7 @@ class TestEngineControl:
         control = EngineControl(engine)
         stats = control.handle(QueryCommand(kind="stats")).payload
         assert stats["queue_depth"] == 0 and not stats["has_work"]
-        assert control.handle(QueryCommand(kind="kv_pool_stats")).payload["kv_memory"] == "paged"
+        assert control.handle(QueryCommand(kind="kv_pool_stats")).payload["blocks_in_use"] == 0
         assert "hit_rate" in control.handle(QueryCommand(kind="prefix_cache_stats")).payload
         with pytest.raises(ValueError):
             control.handle(QueryCommand(kind="nonsense"))
@@ -314,10 +329,11 @@ class TestCrashRecovery:
             config=RouterConfig(num_workers=2, start_method="fork", max_restarts=3),
         )
         with router:
-            for index, prompt in enumerate(prompts):
+            request_ids = [
                 router.submit(prompt, config=config, request_id=f"r{index}")
-            time.sleep(0.05)
-            router.poll()
+                for index, prompt in enumerate(prompts)
+            ]
+            _pump_until_mid_stream(router, request_ids, worker_index=0)
             router.workers[0].kill()
             results = router.drain(timeout=300)
             # No request lost...
@@ -349,8 +365,7 @@ class TestCrashRecovery:
                 router.request_record(request_id).on_tokens = (
                     lambda rid, tokens: streamed[rid].extend(tokens)
                 )
-            time.sleep(0.05)
-            router.poll()
+            _pump_until_mid_stream(router, list(streamed), worker_index=1)
             router.workers[1].kill()
             results = router.drain(timeout=300)
         for request_id, result in results.items():

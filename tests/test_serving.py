@@ -45,7 +45,6 @@ def _engine(
     method,
     strategy,
     prefix_cache=None,
-    kv_memory="paged",
     kv_block_size=16,
     kv_pool_blocks=None,
     **scheduler_kwargs,
@@ -56,7 +55,6 @@ def _engine(
         strategy=strategy,
         scheduler_config=SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None,
         prefix_cache=prefix_cache,
-        kv_memory=kv_memory,
         kv_block_size=kv_block_size,
         kv_pool_blocks=kv_pool_blocks,
     )
@@ -826,85 +824,90 @@ def _mixed_configs(count):
 
 class TestPagedKVMemory:
     """The paged block pool: token identity with the row oracle, zero-copy
-    prefix hits, uniform stats, strictly lower peak memory, and no page
+    prefix hits, block sharing across same-preamble requests, and no page
     leaks across completion and cancellation."""
 
     @pytest.mark.parametrize("method,strategy", METHODS)
     def test_row_oracle_matches_paged_default(self, tiny_pipeline, method, strategy):
-        """kv_memory='row' and the paged default commit identical tokens
-        under mixed greedy/sampling/tree configs, chunked prefill and prefix
-        reuse — the tests' strongest cross-mode identity statement."""
+        """The engine commits the tokens of sequential generate — whose
+        decoder keeps its K/V in the row ``KVCache`` — under mixed
+        greedy/sampling/tree configs, chunked prefill and prefix reuse."""
         prompts = _shared_prefix_prompts(tiny_pipeline, 6)
         configs = _mixed_configs(len(prompts))
+        decoder = tiny_pipeline.decoder_for(method)
+        sequential = [decoder.generate_from_text(p, c).token_ids for p, c in zip(prompts, configs)]
 
-        outputs = {}
-        for kv_memory in ("row", "paged"):
-            engine = _engine(
-                tiny_pipeline, method, strategy,
-                kv_memory=kv_memory,
-                prefix_cache=PrefixCache(max_tokens=4096),
-                max_active_requests=3, max_prefill_tokens_per_step=7,
-            )
-            request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
-            results = engine.run()
-            outputs[kv_memory] = [results[request_id].token_ids for request_id in request_ids]
-        assert outputs["paged"] == outputs["row"]
+        engine = _engine(
+            tiny_pipeline, method, strategy,
+            prefix_cache=PrefixCache(max_tokens=4096),
+            max_active_requests=3, max_prefill_tokens_per_step=7,
+        )
+        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
+        results = engine.run()
+        assert [results[request_id].token_ids for request_id in request_ids] == sequential
+        assert engine.prefix_cache_stats()["hits"] > 0
 
     def test_prefix_hits_are_zero_copy(self, tiny_pipeline):
-        """Paged prefix hits alias pool pages: the engine's copy counter
-        stays 0 while the row engine copies every reused position."""
-        prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
-        config = GenerationConfig.greedy_config(8)
-        counters = {}
-        for kv_memory in ("paged", "row"):
-            engine = _engine(
-                tiny_pipeline, "ours", DecodingStrategy.OURS,
-                kv_memory=kv_memory,
-                prefix_cache=PrefixCache(max_tokens=4096), max_active_requests=2,
-            )
-            for prompt in prompts:
-                engine.submit_text(prompt, config)
-            engine.run()
-            assert engine.prefix_cache_stats()["hits"] > 0
-            counters[kv_memory] = engine.kv_pool_stats()["prefix_copy_tokens"]
-        assert counters["paged"] == 0
-        assert counters["row"] > 0
+        """A prefix hit aliases the retained pages: the spliced row's block
+        table starts with the retained prefix's full blocks (only a partly
+        filled tail block may be copied on the row's first write)."""
+        prompt, sibling = _shared_prefix_prompts(tiny_pipeline, 4)[::2]
+        cache = PrefixCache(max_tokens=4096)
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS,
+            prefix_cache=cache, kv_block_size=4, max_prefill_tokens_per_step=1,
+        )
+        engine.submit_text(prompt, GenerationConfig.greedy_config(2))
+        engine.run()
+        sibling_ids = tiny_pipeline.tokenizer.encode(sibling, add_bos=True)
+        matched, retained = cache.lookup(sibling_ids, limit=len(sibling_ids) - 1)
+        full = list(retained.block_ids[: matched // 4])
+        assert full
+        engine.submit(sibling_ids, GenerationConfig.greedy_config(2))
+        engine.step()  # admission splices the prefix; one prompt token is prefilled
+        (state,) = engine._prefilling
+        assert state.tokens_reused == matched
+        assert state.row_cache._tables[0][: len(full)] == full
+        assert np.all(engine._pool.refcounts[full] > 1)
+        engine.run()
 
-    def test_kv_pool_stats_uniform_keys(self, tiny_pipeline):
-        """Both memory modes report the same stat keys, so ThroughputReport
-        rows and dashboards need no per-mode branching."""
-        config = GenerationConfig.greedy_config(4)
-        stats = {}
-        for kv_memory in ("paged", "row"):
-            engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, kv_memory=kv_memory)
-            engine.submit_text("module m (input clk);", config)
-            engine.run()
-            stats[kv_memory] = engine.kv_pool_stats()
-        assert set(stats["paged"]) == set(stats["row"])
-        assert stats["paged"]["kv_memory"] == "paged"
-        assert stats["row"]["kv_memory"] == "row"
-        assert stats["paged"]["peak_kv_bytes"] > 0
-        assert stats["row"]["peak_kv_bytes"] > 0
-        assert stats["paged"]["blocks_in_use"] == 0  # everything released at drain
+    @staticmethod
+    def _overlapping_pair(pipeline, prefix_cache):
+        """Two same-preamble requests, the second submitted once the first is
+        prefilled (and, with a prefix cache, retained) and still decoding."""
+        first, second = _shared_prefix_prompts(pipeline, 4)[::2]
+        engine = _engine(
+            pipeline, "ours", DecodingStrategy.OURS, prefix_cache=prefix_cache, max_active_requests=2,
+        )
+        engine.submit_text(first, GenerationConfig.greedy_config(8))
+        while engine.num_prefilling or engine.scheduler.waiting:
+            engine.step()
+        engine.submit_text(second, GenerationConfig.greedy_config(8))
+        engine.step()
+        return engine
+
+    def test_same_preamble_requests_share_blocks(self, tiny_pipeline):
+        """Two running requests behind one preamble hold the same physical
+        blocks: the pool reports shared blocks while both decode."""
+        engine = self._overlapping_pair(tiny_pipeline, PrefixCache(max_tokens=4096))
+        tables = [set(table) for table in engine._cache._tables]
+        tables += [set(state.row_cache._tables[0]) for state in engine._prefilling]
+        assert len(tables) == 2
+        common = tables[0] & tables[1]
+        assert common
+        assert engine.kv_pool_stats()["shared_blocks"] >= len(common) > 0
+        engine.run()
 
     def test_paged_peak_kv_bytes_lower_on_shared_prefixes(self, tiny_pipeline):
-        """The headline memory claim, at test scale: paged peak K/V bytes
-        are strictly below the row engine's reserved-buffer peak on a
-        shared-prefix workload (the bench asserts the same at bench scale)."""
-        prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
-        config = GenerationConfig.greedy_config(8)
+        """Shared preambles are stored once: the overlapping pair peaks at
+        fewer pool bytes when the second request aliases the retained
+        preamble than when it prefills a private copy."""
         peaks = {}
-        for kv_memory in ("paged", "row"):
-            engine = _engine(
-                tiny_pipeline, "ours", DecodingStrategy.OURS,
-                kv_memory=kv_memory,
-                prefix_cache=PrefixCache(max_tokens=4096), max_active_requests=4,
-            )
-            for prompt in prompts:
-                engine.submit_text(prompt, config)
+        for reuse in (False, True):
+            engine = self._overlapping_pair(tiny_pipeline, PrefixCache(max_tokens=4096) if reuse else None)
             engine.run()
-            peaks[kv_memory] = engine.kv_pool_stats()["peak_kv_bytes"]
-        assert 0 < peaks["paged"] < peaks["row"]
+            peaks[reuse] = engine.kv_pool_stats()["peak_kv_bytes"]
+        assert 0 < peaks[True] < peaks[False]
 
     def test_pool_drains_after_run(self, tiny_pipeline):
         """No page leaks: after a run every block reference is back at zero

@@ -631,11 +631,19 @@ class TestAsyncCancellation:
         async def run():
             server = AsyncServingEngine(engine)
             server.start()
-            blocker = await server.submit_text(
-                _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(2000)
-            )
-            await asyncio.sleep(0.02)
-            await server.close()
+            async with StepGate(server) as gate:
+                blocker = await server.submit_text(
+                    _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(2000)
+                )
+                await gate.step()
+                assert gate.committed(blocker.request_id) > 0
+                # close() sets the stop flag before it awaits the join, so one
+                # yield puts it there; the parked step thread is then let go,
+                # finishes at most one more step and exits its loop.
+                closing = asyncio.create_task(server.close())
+                await asyncio.sleep(0)
+                gate.open()
+                await closing
             with pytest.raises(RequestCancelled):
                 await blocker.result()
 

@@ -2,13 +2,17 @@
 
 The ledger lives next to the bench harness, outside ``src/``, so it is
 imported here by path.  The suite pins the schema contract: strictly
-increasing gap-free sequence numbers, validated on read and write, with the
-tracked ``benchmarks/results/trend.json`` itself required to validate.
+increasing gap-free sequence numbers, provenance on every post-legacy
+entry, validated on read and write, appends only when recording is switched
+on, and the tracked ``benchmarks/results/trend.json`` itself required to
+validate.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -19,6 +23,8 @@ if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
 from trend import (  # noqa: E402  (path setup must precede the import)
+    LEGACY_SEQUENCE,
+    RECORD_ENV,
     TREND_SCHEMA,
     TrendSchemaError,
     append_trend_entry,
@@ -29,8 +35,15 @@ from trend import (  # noqa: E402  (path setup must precede the import)
 
 def _entry(sequence: int, **overrides) -> dict:
     entry = {"sequence": sequence, "bench": "b", "mode": "smoke", "metrics": {"x": 1.0}}
+    if sequence > LEGACY_SEQUENCE:
+        entry.update(git_sha="0123abc", python="3.12.1", cores=2)
     entry.update(overrides)
     return entry
+
+
+def _history(last: dict) -> list:
+    """The legacy entries followed by ``last``."""
+    return [_entry(sequence) for sequence in range(1, LEGACY_SEQUENCE + 1)] + [last]
 
 
 class TestValidateTrend:
@@ -39,6 +52,11 @@ class TestValidateTrend:
 
     def test_valid_history(self):
         entries = [_entry(1), _entry(2, mode="default"), _entry(3, mode="full")]
+        assert validate_trend({"schema": TREND_SCHEMA, "entries": entries}) == entries
+
+    def test_legacy_entries_need_no_provenance(self):
+        entries = _history(_entry(LEGACY_SEQUENCE + 1))
+        assert "git_sha" not in entries[0]
         assert validate_trend({"schema": TREND_SCHEMA, "entries": entries}) == entries
 
     @pytest.mark.parametrize(
@@ -66,6 +84,11 @@ class TestValidateTrend:
             [_entry(1, metrics={})],
             [_entry(1, metrics={"x": "fast"})],
             [_entry(1, metrics={"x": True})],  # bools are not measurements
+            _history({"sequence": LEGACY_SEQUENCE + 1, "bench": "b", "mode": "smoke", "metrics": {"x": 1.0}}),
+            _history(_entry(LEGACY_SEQUENCE + 1, git_sha="")),
+            _history(_entry(LEGACY_SEQUENCE + 1, python=3.12)),
+            _history(_entry(LEGACY_SEQUENCE + 1, cores=0)),
+            _history(_entry(LEGACY_SEQUENCE + 1, cores=True)),
         ],
     )
     def test_bad_entries(self, entries):
@@ -74,6 +97,30 @@ class TestValidateTrend:
 
 
 class TestAppendTrendEntry:
+    @pytest.fixture(autouse=True)
+    def _recording(self, monkeypatch):
+        monkeypatch.setenv(RECORD_ENV, "1")
+
+    @pytest.mark.parametrize("value", [None, "0", "true"])
+    def test_append_is_a_noop_unless_recording(self, tmp_path, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv(RECORD_ENV)
+        else:
+            monkeypatch.setenv(RECORD_ENV, value)
+        path = tmp_path / "trend.json"
+        assert append_trend_entry("bench-a", "smoke", {"m": 1.0}, path=path) is None
+        assert not path.exists()
+
+    def test_new_entries_carry_provenance(self, tmp_path):
+        path = tmp_path / "trend.json"
+        legacy = [_entry(sequence) for sequence in range(1, LEGACY_SEQUENCE + 1)]
+        path.write_text(json.dumps({"schema": TREND_SCHEMA, "entries": legacy}))
+        entry = append_trend_entry("bench-a", "smoke", {"m": 1.0}, path=path)
+        assert entry["sequence"] == LEGACY_SEQUENCE + 1
+        assert isinstance(entry["git_sha"], str) and entry["git_sha"]
+        assert entry["python"] == platform.python_version()
+        assert entry["cores"] == (os.cpu_count() or 1)
+        assert load_trend(path)[-1] == entry
     def test_append_grows_monotonically(self, tmp_path):
         path = tmp_path / "trend.json"
         assert load_trend(path) == []  # absent file = empty history
